@@ -25,9 +25,9 @@ from .binary import (
     binary_optimal_output,
 )
 from .channel import binary_channel, check_channel, output_distribution
-from .entropy import SUM_TOL, LogConfig, xlogx_star
+from .entropy import SUM_TOL, LogConfig
 from .linalg import determinant
-from .muroga import SingularChannelError, feasible_input, muroga_capacity
+from .muroga import SingularChannelError, _row_terms, feasible_input, muroga_capacity
 from .oracle import OracleConfig, blahut_arimoto, capacity_bounds, grid_search_binary
 
 EXIT_OK = 0
@@ -60,7 +60,7 @@ class CapacityResult:
 
 
 def _units(base):
-    return "bits" if base == 2.0 else f"base-{base:g} units"
+    return "bits" if base == 2.0 else f"base-{_fmt(base)} units"
 
 
 def _fmt(x):
@@ -181,8 +181,7 @@ def ingest_matrix(raw):
 
 
 def _muroga_diagnostics(q, sol, cfg):
-    h = np.array([math.fsum(xlogx_star(row, cfg)) for row in q])
-    residual = float(np.abs(q @ sol.aux - h).max())
+    residual = float(np.abs(q @ sol.aux - _row_terms(q, cfg)).max())
     diag = {"det": float(determinant(q)), "residual": residual}
     if not sol.feasible:
         diag["min_input_raw"] = float(sol.opt_input_raw.min())
@@ -232,8 +231,7 @@ def _binary_result(q, cfg):
     return result, EXIT_OK
 
 
-def _muroga_result(q, cfg):
-    sol = muroga_capacity(q, cfg)
+def _muroga_result(q, cfg, sol):
     result = CapacityResult(
         capacity=sol.capacity,
         units=_units(cfg.base),
@@ -277,7 +275,7 @@ def solve_channel(q, method, cfg, ocfg):
     if method == "muroga":
         if n != m:
             raise ValueError(f"muroga method needs a square channel, got {n}x{m}")
-        return _muroga_result(q, cfg)
+        return _muroga_result(q, cfg, muroga_capacity(q, cfg))
     if method == "blahut-arimoto":
         return _ba_result(q, cfg, ocfg)
     if method == "grid":
@@ -291,7 +289,7 @@ def solve_channel(q, method, cfg, ocfg):
         except SingularChannelError:
             return _ba_result(q, cfg, ocfg)
         if sol.feasible:
-            return _muroga_result(q, cfg)
+            return _muroga_result(q, cfg, sol)
         result, code = _ba_result(
             q,
             cfg,

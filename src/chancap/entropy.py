@@ -33,8 +33,8 @@ class LogConfig:
     star_value: float = 0.0
 
     def __post_init__(self):
-        if not self.base > 1.0:
-            raise ValueError(f"log base must be > 1, got {self.base}")
+        if not (math.isfinite(self.base) and self.base > 1.0):
+            raise ValueError(f"log base must be finite and > 1, got {self.base}")
 
 
 _DEFAULT = LogConfig()

@@ -1,22 +1,22 @@
-"""Dense linear algebra for small square systems: LU factorization with
-partial pivoting, solve, inverse and determinant.
+"""Dense linear algebra for small square systems: solve, inverse and
+determinant as a thin layer over ``numpy.linalg`` (LAPACK).
 
-Matrices in this package are at most a few dozen rows, so a plain
-unblocked factorization is both fast enough and easy to audit.
+``solve`` and ``inverse`` share one singularity rule, stated on
+:func:`_solve_with_inverse`; ``determinant`` never raises on singular input.
 """
 
 import numpy as np
 
-#: A pivot below PIVOT_RTOL times the largest initial |entry| means singular.
-PIVOT_RTOL = 1e-12
+#: A reciprocal 1-norm condition number not >= RCOND_TOL means singular.
+RCOND_TOL = 1e-12
 
 
 class SingularMatrixError(ValueError):
-    """Factorization hit a pivot too small to trust."""
+    """The matrix is singular or too ill-conditioned to trust a solve."""
 
 
 def _check_square(a):
-    arr = np.array(a, dtype=float)
+    arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -24,81 +24,42 @@ def _check_square(a):
     return arr
 
 
-def _lu_factor(a):
-    """Factor PA = LU in place; returns (lu, perm, parity).
+def _solve_with_inverse(a, rhs):
+    """Solve ``a @ x = rhs`` and invert ``a`` from one LAPACK factorization.
 
-    ``lu`` packs L (unit diagonal, below) and U (on and above); ``perm`` maps
-    factored row k to original row perm[k].  Raises SingularMatrixError when
-    a pivot falls below ``PIVOT_RTOL`` relative to the largest initial entry.
+    Returns ``(x, F)`` with ``F = a^{-1}``.  ``a`` is singular, and
+    SingularMatrixError is raised, when LAPACK raises ``LinAlgError`` or when
+    ``rcond = 1 / (||a||_1 * ||F||_1)`` is not >= ``RCOND_TOL``; the "not >="
+    also rejects a NaN or overflowed ``F``.
     """
-    lu = _check_square(a)
-    n = lu.shape[0]
-    floor = PIVOT_RTOL * np.abs(lu).max()
-    if floor == 0.0:
-        raise SingularMatrixError("zero matrix")
-    perm = np.arange(n)
-    parity = 1.0
-    for k in range(n):
-        j = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[j, k]) < floor:
-            raise SingularMatrixError(
-                f"pivot {float(lu[j, k]):g} in column {k} below threshold {floor:g}"
-            )
-        if j != k:
-            lu[[k, j]] = lu[[j, k]]
-            perm[[k, j]] = perm[[j, k]]
-            parity = -parity
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm, parity
-
-
-def _substitute(lu, perm, rhs):
-    x = rhs[perm].astype(float)
-    n = lu.shape[0]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    return x
+    a = _check_square(a)
+    n = a.shape[0]
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (n,):
+        raise ValueError(f"rhs shape {rhs.shape} does not match matrix of order {n}")
+    try:
+        sol = np.linalg.solve(a, np.column_stack([rhs, np.eye(n)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    f = sol[:, 1:]
+    with np.errstate(over="ignore"):
+        rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(f, 1))
+    if not rcond >= RCOND_TOL:
+        raise SingularMatrixError(f"reciprocal condition number {rcond:g} below {RCOND_TOL:g}")
+    return sol[:, 0], f
 
 
 def solve(a, rhs):
-    """Solve ``a @ x = rhs`` for a square matrix by pivoted LU."""
-    rhs = np.asarray(rhs, dtype=float)
-    a = _check_square(a)
-    if rhs.shape != (a.shape[0],):
-        raise ValueError(f"rhs shape {rhs.shape} does not match matrix of order {a.shape[0]}")
-    lu, perm, _ = _lu_factor(a)
-    return _substitute(lu, perm, rhs)
+    """Solve ``a @ x = rhs`` for a square matrix."""
+    return _solve_with_inverse(a, rhs)[0]
 
 
 def inverse(a):
-    """Inverse of a square matrix; raises SingularMatrixError if rank deficient."""
+    """Inverse of a square matrix; raises SingularMatrixError if singular."""
     a = _check_square(a)
-    n = a.shape[0]
-    lu, perm, _ = _lu_factor(a)
-    eye = np.eye(n)
-    cols = [_substitute(lu, perm, eye[:, j]) for j in range(n)]
-    return np.column_stack(cols)
+    return _solve_with_inverse(a, np.zeros(a.shape[0]))[1]
 
 
 def determinant(a):
-    """Determinant as the signed product of pivots.
-
-    Never raises on singular input: an exactly zero pivot column yields 0.0.
-    """
-    lu = _check_square(a)
-    n = lu.shape[0]
-    det = 1.0
-    for k in range(n):
-        j = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[j, k] == 0.0:
-            return 0.0
-        if j != k:
-            lu[[k, j]] = lu[[j, k]]
-            det = -det
-        det *= lu[k, k]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return det
+    """Determinant of a square matrix; never raises on singular input."""
+    return float(np.linalg.det(_check_square(a)))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import check_channel
 from .entropy import LogConfig, _DEFAULT, _log_b, xlogx_star
-from .linalg import SingularMatrixError, inverse, solve
+from .linalg import SingularMatrixError, _solve_with_inverse, inverse, solve
 
 #: Raw inputs with entries no more negative than this count as feasible.
 INPUT_FEASIBILITY_TOL = 1e-12
@@ -57,13 +57,17 @@ def _exp_b(t, base):
     return np.exp(np.asarray(t, dtype=float) * math.log(base))
 
 
+def _row_terms(q, cfg):
+    """h_i = sum_j q_ij log_b q_ij, each row summed exactly rounded."""
+    return np.array([math.fsum(row) for row in xlogx_star(q, cfg)])
+
+
 def solve_auxiliary(q, cfg: LogConfig = None):
     """Solve Q x = h, h_i = sum_j q_ij log_b q_ij, for the auxiliary vector x."""
     cfg = _DEFAULT if cfg is None else cfg
     q = _check_square_channel(q)
-    h = np.array([math.fsum(xlogx_star(row, cfg)) for row in q])
     try:
-        return solve(q, h)
+        return solve(q, _row_terms(q, cfg))
     except SingularMatrixError as exc:
         raise SingularChannelError(str(exc)) from exc
 
@@ -115,13 +119,8 @@ def muroga_capacity(q, cfg: LogConfig = None) -> MurogaSolution:
     cfg = _DEFAULT if cfg is None else cfg
     q = _check_square_channel(q)
     try:
-        f = inverse(q)
+        aux, f = _solve_with_inverse(q, _row_terms(q, cfg))
     except SingularMatrixError as exc:
-        raise SingularChannelError(str(exc)) from exc
-    h = np.array([math.fsum(xlogx_star(row, cfg)) for row in q])
-    try:
-        aux = solve(q, h)
-    except SingularMatrixError as exc:  # pragma: no cover - inverse() raised first
         raise SingularChannelError(str(exc)) from exc
     capacity = capacity_from_aux(aux, cfg)
     if -1e-12 < capacity < 0.0:  # roundoff on near-zero-capacity channels

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +167,20 @@ class TestSolveChannel:
         assert result.method == "muroga"
         assert result.capacity == pytest.approx(math.log2(3.0), abs=1e-12)
 
+    def test_auto_feasible_square_runs_explicit_solver_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return muroga_capacity(*args, **kwargs)
+
+        monkeypatch.setattr("chancap.cli.muroga_capacity", counted)
+        q = ingest_matrix(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
+        result, code = solve_channel(q, "auto", CFG, OCFG)
+        assert code == EXIT_OK
+        assert result.method == "muroga" and result.feasible
+        assert len(calls) == 1
+
     def test_auto_infeasible_falls_back_to_oracle(self):
         q = ingest_matrix(np.array(INFEASIBLE_3X3))
         result, code = solve_channel(q, "auto", CFG, OCFG)
@@ -270,6 +287,10 @@ class TestRun:
         assert result.units == "base-10 units"
         assert result.method == "grid"
 
+    def test_units_label_keeps_every_digit_of_the_base(self, capsys):
+        run(["--a", "0", "--c", "0.5", "--base", "1.0000000000000002"])
+        assert parse_report(capsys.readouterr().out).units == "base-1.0000000000000002 units"
+
     def test_flags_override_file_metadata(self, tmp_path, capsys):
         path = write_channel_file(
             tmp_path, "m.json", {"matrix": [[0.2, 0.8], [0.9, 0.1]], "base": 10, "method": "grid"}
@@ -309,9 +330,13 @@ class TestRun:
         assert run(["--a", "-0.2", "--c", "0.5"]) == EXIT_BAD_MATRIX
         capsys.readouterr()
 
-    def test_bad_base_exit(self, capsys):
+    def test_bad_base_exit(self, tmp_path, capsys):
         assert run(["--a", "0", "--c", "0.5", "--base", "1"]) == EXIT_BAD_FILE
-        capsys.readouterr()
+        assert run(["--a", "0", "--c", "0.5", "--base", "inf"]) == EXIT_BAD_FILE
+        path = tmp_path / "inf_base.json"
+        path.write_text('{"matrix": [[1, 0], [0.5, 0.5]], "base": 1e309}', encoding="utf-8")
+        assert run(["--matrix", str(path)]) == EXIT_BAD_FILE
+        assert "log base" in capsys.readouterr().err
 
     def test_nonconvergence_still_reports(self, capsys):
         assert run(["--a", "0", "--c", "0.5", "--method", "blahut-arimoto", "--max-iter", "3"]) == EXIT_NO_CONVERGENCE
@@ -332,6 +357,19 @@ class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(
             ["capacity", "--a", "0", "--c", "0.5"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        result = parse_report(proc.stdout)
+        assert result.capacity == pytest.approx(math.log2(1.25), abs=1e-12)
+
+
+    def test_python_dash_m(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chancap", "--a", "0", "--c", "0.5"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
         result = parse_report(proc.stdout)

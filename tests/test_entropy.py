@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chancap import (
@@ -62,8 +62,22 @@ class TestXlogxStar:
             xlogx_star(np.array([0.2, -0.2]))
 
     @given(st.floats(min_value=1e-300, max_value=1.0))
+    @example(0.8223285658643598)
     def test_matches_plain_xlogx(self, x):
-        assert xlogx_star(x) == x * math.log2(x)
+        """Agrees with ``ref = x * math.log2(x)`` to within 4 ulp(ref).
+
+        The two sides differ only in which log2 they call: numpy's or libm's.
+        Both are faithfully rounded (error under 1 ulp), so the two log2 values
+        are equal or adjacent floats, and multiplying their gap by x moves the
+        exact product by at most 2**-52 * |x log2 x|, under 2 ulp(ref).
+        Rounding ``ref`` adds half an ulp(ref); rounding the other product adds
+        half an ulp of its own binade, at most 1 ulp(ref).  The sum stays under
+        4 ulp(ref).  Bit equality does not hold: at the example point a
+        200-bit reference shows numpy's log2 correctly rounded and libm's one
+        ulp off.
+        """
+        ref = x * math.log2(x)
+        assert abs(xlogx_star(x) - ref) <= 4 * math.ulp(ref)
 
 
 class TestCheckDistribution:

@@ -5,6 +5,10 @@ import pytest
 
 from chancap import SingularMatrixError, binary_channel, determinant, inverse, solve
 
+# LAPACK factors this without error, but its reciprocal condition number is
+# below RCOND_TOL, so solve and inverse must still call it singular.
+ILL_CONDITIONED = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+
 
 class TestSolve:
     def test_identity(self):
@@ -34,6 +38,8 @@ class TestSolve:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             solve(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([1.0, 1.0]))
+        with pytest.raises(SingularMatrixError):
+            solve(ILL_CONDITIONED, np.array([1.0, 1.0]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -71,6 +77,8 @@ class TestInverse:
             inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrixError):
             inverse(np.zeros((3, 3)))
+        with pytest.raises(SingularMatrixError):
+            inverse(ILL_CONDITIONED)
 
     def test_solve_consistency(self):
         rng = np.random.default_rng(34)
@@ -97,6 +105,7 @@ class TestDeterminant:
 
     def test_never_raises_on_singular(self):
         assert determinant(np.zeros((2, 2))) == 0.0
+        assert determinant(ILL_CONDITIONED) == pytest.approx(1e-15, rel=0.2)
 
     def test_row_swap_flips_sign(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])

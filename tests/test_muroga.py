@@ -247,6 +247,9 @@ class TestMurogaCapacity:
     def test_singular_raises(self):
         with pytest.raises(SingularChannelError):
             muroga_capacity(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        # LAPACK factors this without error; its condition number is what rejects it
+        with pytest.raises(SingularChannelError):
+            muroga_capacity(np.array([[1.0, 0.0], [1.0 - 1e-15, 1e-15]]))
 
     def test_internal_consistency(self):
         for q in _random_invertible_channels(50, 20):
