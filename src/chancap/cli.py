@@ -24,10 +24,9 @@ from .binary import (
     binary_optimal_input,
     binary_optimal_output,
 )
-from .channel import binary_channel, check_channel, output_distribution
+from .channel import binary_channel, check_channel
 from .entropy import SUM_TOL, LogConfig
-from .linalg import determinant
-from .muroga import SingularChannelError, _row_terms, feasible_input, muroga_capacity
+from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, feasible_input, muroga_capacity
 from .oracle import OracleConfig, blahut_arimoto, capacity_bounds, grid_search_binary
 
 EXIT_OK = 0
@@ -180,127 +179,103 @@ def ingest_matrix(raw):
     return check_channel(raw)
 
 
-def _muroga_diagnostics(q, sol, cfg):
-    residual = float(np.abs(q @ sol.aux - _row_terms(q, cfg)).max())
-    diag = {"det": float(determinant(q)), "residual": residual}
-    if not sol.feasible:
-        diag["min_input_raw"] = float(sol.opt_input_raw.min())
-    return diag
+def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallback_used=False):
+    """The one place a solver's answer becomes a CapacityResult.
 
-
-def _ba_result(q, cfg, ocfg, fallback_used=False, feasible=True, extra_diag=None):
-    res = blahut_arimoto(q, cfg, ocfg)
-    lower, upper = capacity_bounds(res.input_dist, q, cfg)
-    diag = {"iterations": float(res.iterations), "gap": upper - lower}
-    if extra_diag:
-        diag.update(extra_diag)
-    result = CapacityResult(
-        capacity=res.capacity,
-        units=_units(cfg.base),
-        method="blahut_arimoto",
-        optimal_input=tuple(float(v) for v in res.input_dist),
-        optimal_output=tuple(float(v) for v in output_distribution(res.input_dist, q)),
-        feasible=feasible,
-        fallback_used=fallback_used,
-        diagnostics=diag,
-    )
-    return result, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
-
-
-def _binary_result(q, cfg):
-    a = float(q[0, 1])
-    c = float(q[1, 1])
-    det = c - a
-    if abs(det) <= DEGENERATE_TOL:
-        p = np.array([0.5, 0.5])
-        capacity = 0.0
-    else:
-        p = binary_optimal_input(a, c)
-        capacity = binary_capacity(a, c, cfg)
-    r = output_distribution(p, q) if abs(det) <= DEGENERATE_TOL else binary_optimal_output(a, c)
-    result = CapacityResult(
+    Every report is certified from its own reported input ``p``:
+    ``diagnostics["gap"]`` is upper - lower of ``capacity_bounds(p, q)``.
+    ``r`` is the method's own output distribution; without one the report
+    shows ``p Q``.  An explicit answer passes its raw input ``raw`` (``p`` is
+    its clamp onto the simplex) and is feasible only when no raw entry is
+    below -INPUT_FEASIBILITY_TOL and capacity, lower and upper bound all lie
+    within ``ocfg.tolerance`` of each other; an infeasible one records the
+    smallest raw entry.  An iterative answer is feasible unless it is a
+    fallback.
+    """
+    lower, upper = capacity_bounds(p, q, cfg)
+    diagnostics["gap"] = upper - lower
+    feasible = not fallback_used
+    if raw is not None:
+        span = max(lower, upper, capacity) - min(lower, upper, capacity)
+        feasible = bool(raw.min() >= -INPUT_FEASIBILITY_TOL and span <= ocfg.tolerance)
+        if not feasible:
+            diagnostics["min_input_raw"] = float(raw.min())
+    return CapacityResult(
         capacity=capacity,
         units=_units(cfg.base),
-        method="binary_closed_form",
+        method=method,
         optimal_input=tuple(float(v) for v in p),
-        optimal_output=tuple(float(v) for v in r),
-        feasible=True,
-        fallback_used=False,
-        diagnostics={"det": det},
+        optimal_output=tuple(float(v) for v in (p @ q if r is None else r)),
+        feasible=feasible,
+        fallback_used=fallback_used,
+        diagnostics=diagnostics,
     )
-    return result, EXIT_OK
 
 
-def _muroga_result(q, cfg, sol):
-    result = CapacityResult(
-        capacity=sol.capacity,
-        units=_units(cfg.base),
-        method="muroga",
-        optimal_input=tuple(float(v) for v in feasible_input(sol.opt_input_raw)),
-        optimal_output=tuple(float(v) for v in sol.opt_output),
-        feasible=sol.feasible,
-        fallback_used=False,
-        diagnostics=_muroga_diagnostics(q, sol, cfg),
-    )
-    return result, EXIT_OK
+def _explicit_answer(q, closed_form, cfg):
+    """(method, capacity, raw input, output or None, diagnostics) of an explicit solver.
 
-
-def _grid_result(q, cfg, ocfg):
-    res = grid_search_binary(q, cfg, ocfg)
-    p = np.array([res.p1, 1.0 - res.p1])
-    result = CapacityResult(
-        capacity=res.capacity,
-        units=_units(cfg.base),
-        method="grid",
-        optimal_input=(float(res.p1), float(1.0 - res.p1)),
-        optimal_output=tuple(float(v) for v in output_distribution(p, q)),
-        feasible=True,
-        fallback_used=False,
-        diagnostics={"grid_resolution": float(ocfg.grid_resolution)},
-    )
-    return result, EXIT_OK
+    Silverman's binary closed form is Muroga's method carried out at n = 2;
+    its diagnostic ``det = c - a`` is the quantity DEGENERATE_TOL judges.
+    Muroga raises SingularChannelError on a singular channel.
+    """
+    if closed_form:
+        a = float(q[0, 1])
+        c = float(q[1, 1])
+        diag = {"det": c - a}
+        if abs(c - a) <= DEGENERATE_TOL:
+            return "binary_closed_form", 0.0, np.array([0.5, 0.5]), None, diag
+        capacity = binary_capacity(a, c, cfg)
+        raw = binary_optimal_input(a, c)
+        return "binary_closed_form", capacity, raw, binary_optimal_output(a, c), diag
+    sol = muroga_capacity(q, cfg)
+    return "muroga", sol.capacity, sol.opt_input_raw, sol.opt_output, {}
 
 
 def solve_channel(q, method, cfg, ocfg):
     """Dispatch to a solver; returns (CapacityResult, exit code).
 
-    Raises ValueError / SingularChannelError for matrix-vs-method mismatches
-    (the CLI maps those to exit 3).
+    Under auto a 2x2 channel uses the closed form and any other square
+    channel Muroga's solution; an infeasible explicit answer falls back to
+    Blahut-Arimoto with ``fallback_used``, a singular channel goes to it
+    directly.  Raises ValueError / SingularChannelError for
+    matrix-vs-method mismatches (the CLI maps those to exit 3).
     """
     n, m = q.shape
-    if method == "binary":
-        if (n, m) != (2, 2):
-            raise ValueError(f"binary method needs a 2x2 channel, got {n}x{m}")
-        return _binary_result(q, cfg)
-    if method == "muroga":
-        if n != m:
-            raise ValueError(f"muroga method needs a square channel, got {n}x{m}")
-        return _muroga_result(q, cfg, muroga_capacity(q, cfg))
-    if method == "blahut-arimoto":
-        return _ba_result(q, cfg, ocfg)
+    if method == "binary" and (n, m) != (2, 2):
+        raise ValueError(f"binary method needs a 2x2 channel, got {n}x{m}")
+    if method == "muroga" and n != m:
+        raise ValueError(f"muroga method needs a square channel, got {n}x{m}")
     if method == "grid":
-        return _grid_result(q, cfg, ocfg)
-    # auto
-    if (n, m) == (2, 2):
-        return _binary_result(q, cfg)
-    if n == m:
+        res = grid_search_binary(q, cfg, ocfg)
+        p = np.array([res.p1, 1.0 - res.p1])
+        diag = {"grid_resolution": float(ocfg.grid_resolution)}
+        return _report(q, cfg, ocfg, "grid", res.capacity, p, None, diag), EXIT_OK
+    fallback = None  # the raw explicit capacity, once auto falls back
+    if method != "blahut-arimoto" and n == m:
+        closed_form = method == "binary" or (method == "auto" and n == 2)
         try:
-            sol = muroga_capacity(q, cfg)
+            solver, capacity, raw, r, diag = _explicit_answer(q, closed_form, cfg)
         except SingularChannelError:
-            return _ba_result(q, cfg, ocfg)
-        if sol.feasible:
-            return _muroga_result(q, cfg, sol)
-        result, code = _ba_result(
-            q,
-            cfg,
-            ocfg,
-            fallback_used=True,
-            feasible=False,
-            extra_diag={"muroga_capacity_raw": sol.capacity},
-        )
-        result.diagnostics["oracle_capacity"] = result.capacity
-        return result, code
-    return _ba_result(q, cfg, ocfg)
+            if method != "auto":
+                raise
+        else:
+            # Under auto a negative raw input already decides the fallback,
+            # so its certificate is not computed.
+            if method != "auto" or raw.min() >= -INPUT_FEASIBILITY_TOL:
+                result = _report(q, cfg, ocfg, solver, capacity, feasible_input(raw), r, diag, raw)
+                if result.feasible or method != "auto":
+                    return result, EXIT_OK
+            fallback = capacity
+    res = blahut_arimoto(q, cfg, ocfg)
+    diag = {"iterations": float(res.iterations)}
+    if fallback is not None:
+        diag.update(muroga_capacity_raw=fallback, oracle_capacity=res.capacity)
+    result = _report(
+        q, cfg, ocfg, "blahut_arimoto", res.capacity, res.input_dist, None, diag,
+        fallback_used=fallback is not None,
+    )
+    return result, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
 def _build_parser():

@@ -10,13 +10,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chancap import LogConfig, OracleConfig, binary_capacity, blahut_arimoto, muroga_capacity
+from chancap import (
+    LogConfig,
+    OracleConfig,
+    SingularChannelError,
+    binary_capacity,
+    blahut_arimoto,
+    capacity_bounds,
+    muroga_capacity,
+)
 from chancap.cli import (
     EXIT_BAD_FILE,
     EXIT_BAD_MATRIX,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    METHODS,
     CapacityResult,
     ChannelFileError,
     emit_report,
@@ -28,9 +39,15 @@ from chancap.cli import (
 )
 
 INFEASIBLE_3X3 = [[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]
+# |c - a| ≈ 1.0e-12: the closed form's raw input is about (-5.1e5, 5.1e5).
+NEAR_DEGENERATE_A, NEAR_DEGENERATE_C = 0.5674319950470281, 0.5674319950480301
 
 CFG = LogConfig()
 OCFG = OracleConfig()
+
+
+def binary_q(a, c):
+    return np.array([[1.0 - a, a], [1.0 - c, c]])
 
 
 def write_channel_file(tmp_path, name, payload):
@@ -383,6 +400,10 @@ class TestCapacityResultInvariants:
             (np.array(INFEASIBLE_3X3), "auto"),
             (np.array(INFEASIBLE_3X3), "muroga"),
             (np.array([[0.7, 0.3], [0.7, 0.3]]), "auto"),
+            (binary_q(NEAR_DEGENERATE_A, NEAR_DEGENERATE_C), "auto"),
+            (binary_q(NEAR_DEGENERATE_A, NEAR_DEGENERATE_C), "binary"),
+            (binary_q(0.3, 0.3000000001), "auto"),
+            (binary_q(0.3, 0.3000000001), "binary"),
         ]
         for raw, method in cases:
             result, _ = solve_channel(ingest_matrix(raw), method, CFG, OCFG)
@@ -399,3 +420,51 @@ class TestCapacityResultInvariants:
     def test_binary_result_matches_library_call(self):
         result, _ = solve_channel(ingest_matrix(np.array([[0.6, 0.4], [0.15, 0.85]])), "binary", CFG, OCFG)
         assert result.capacity == binary_capacity(0.4, 0.85)
+
+
+@st.composite
+def channels(draw):
+    """A 2x2 channel with |c - a| down to 1e-12, a square one, or a tall one."""
+    kind = draw(st.sampled_from(["binary", "square", "tall"]))
+    if kind == "binary":
+        a = draw(st.floats(0.0, 1.0))
+        d = 10.0 ** draw(st.floats(-12.0, 0.0))
+        return binary_q(a, a + d if a + d <= 1.0 else max(a - d, 0.0))
+    if kind == "square":
+        n = draw(st.integers(3, 5))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.dirichlet(np.ones(n), size=n)
+    return np.array([[0.6, 0.4], [0.3, 0.7], [0.1, 0.9]])
+
+
+class TestCertificate:
+    """Every report carries the gap of its own reported input."""
+
+    OCFG = OracleConfig(max_iterations=500, grid_resolution=10**4)
+
+    @settings(deadline=None)
+    @given(channels())
+    @example(binary_q(NEAR_DEGENERATE_A, NEAR_DEGENERATE_C))
+    def test_reports_are_certified_by_their_own_input(self, raw):
+        q = ingest_matrix(raw)
+        n, m = q.shape
+        if (n, m) == (2, 2):
+            methods = METHODS
+        elif n == m:
+            methods = ("auto", "muroga", "blahut-arimoto")
+        else:
+            methods = ("auto", "blahut-arimoto")
+        for method in methods:
+            try:
+                result, code = solve_channel(q, method, CFG, self.OCFG)
+            except SingularChannelError:
+                continue
+            if code != EXIT_OK:
+                continue
+            p = np.array(result.optimal_input)
+            assert np.all(p >= 0.0) and abs(math.fsum(p) - 1.0) <= 1e-12, (method, p)
+            lower, upper = capacity_bounds(p, q, CFG)
+            assert result.diagnostics["gap"] == upper - lower, method
+            if result.feasible:
+                tol = self.OCFG.tolerance
+                assert lower - tol <= result.capacity <= upper + tol, (method, result)
