@@ -33,9 +33,11 @@ def _check_binary(a, c):
     return a, c
 
 
-def _require_nondegenerate(a, c):
+def _check_nondegenerate(a, c):
+    a, c = _check_binary(a, c)
     if abs(c - a) <= DEGENERATE_TOL:
         raise DegenerateChannelError(f"rows coincide: a={a!r}, c={c!r}")
+    return a, c
 
 
 def _wlog2(w, x):
@@ -48,8 +50,11 @@ def _wlog2(w, x):
 
 def binary_aux(a, c):
     """Auxiliary pair (x1, x2) in bits for the binary channel, a != c."""
-    a, c = _check_binary(a, c)
-    _require_nondegenerate(a, c)
+    return _aux(*_check_nondegenerate(a, c))
+
+
+def _aux(a, c):
+    # binary_aux on checked, nondegenerate floats.
     ap = 1.0 - a
     cp = 1.0 - c
     d = c - a
@@ -74,7 +79,7 @@ def binary_capacity(a, c, cfg: LogConfig = None):
     a, c = _check_binary(a, c)
     if abs(c - a) <= DEGENERATE_TOL:
         return 0.0
-    x1, x2 = binary_aux(a, c)
+    x1, x2 = _aux(a, c)
     m = max(x1, x2)
     bits = m + math.log2(2.0 ** (x1 - m) + 2.0 ** (x2 - m))
     if bits < 0.0:  # roundoff below the true value 0 at near-degenerate corners
@@ -90,9 +95,8 @@ def binary_optimal_output(a, c, cfg: LogConfig = None):
     ``cfg`` only fixes units elsewhere; the maximizing distribution itself
     does not depend on the log base, so it is accepted and ignored.
     """
-    a, c = _check_binary(a, c)
-    _require_nondegenerate(a, c)
-    w1, w2 = _shifted_weights(*binary_aux(a, c))
+    a, c = _check_nondegenerate(a, c)
+    w1, w2 = _shifted_weights(*_aux(a, c))
     s = w1 + w2
     return np.array([w1 / s, w2 / s])
 
@@ -104,9 +108,8 @@ def binary_optimal_input(a, c, cfg: LogConfig = None):
     For 0 < a < c < 1 both entries provably lie in [1/e, 1 - 1/e], so the
     closed form is always feasible there.
     """
-    a, c = _check_binary(a, c)
-    _require_nondegenerate(a, c)
-    w1, w2 = _shifted_weights(*binary_aux(a, c))
+    a, c = _check_nondegenerate(a, c)
+    w1, w2 = _shifted_weights(*_aux(a, c))
     s = (c - a) * (w1 + w2)
     p1 = (c * w1 - (1.0 - c) * w2) / s
     p2 = (-a * w1 + (1.0 - a) * w2) / s

@@ -7,42 +7,13 @@ import math
 
 import numpy as np
 
-from .entropy import (
-    NEG_CLAMP,
-    SUM_TOL,
-    LogConfig,
-    _as_float_array,
-    _log_b,
-    check_distribution,
-    check_joint,
-    mutual_information,
-)
+from .binary import _check_binary
+from .entropy import LogConfig, _check_pair, _log_pos, check_channel  # check_channel: re-export
 
 #: Output columns with mass below this are excluded from the gradient sum.
 GRADIENT_OUTPUT_FLOOR = 1e-300
 
 _DEFAULT = LogConfig()
-
-
-def check_channel(q):
-    """Validate an n-by-m transition matrix and return it as a float array.
-
-    Every entry must lie in [0, 1] (tiny negative rounding noise is clamped)
-    and every row must sum to 1 within ``1e-12``.
-    """
-    arr = _as_float_array(q, "transition matrix")
-    if arr.ndim != 2:
-        raise ValueError(f"transition matrix must be 2-D, got shape {arr.shape}")
-    if np.any(arr < NEG_CLAMP):
-        raise ValueError("transition matrix has negative entries")
-    arr[arr < 0.0] = 0.0
-    if np.any(arr > 1.0 + SUM_TOL):
-        raise ValueError("transition matrix has entries above 1")
-    row_sums = [math.fsum(row) for row in arr]
-    bad = [i for i, s in enumerate(row_sums) if abs(s - 1.0) > SUM_TOL]
-    if bad:
-        raise ValueError(f"rows {bad} are not stochastic (sums {[row_sums[i] for i in bad]})")
-    return arr
 
 
 def binary_channel(a, c):
@@ -52,19 +23,8 @@ def binary_channel(a, c):
     probability ``c``.  ``a = 0`` gives the Z-channel, ``c = 1 - a`` the
     binary symmetric channel.
     """
-    a = float(a)
-    c = float(c)
-    if not (0.0 <= a <= 1.0 and 0.0 <= c <= 1.0):
-        raise ValueError(f"binary channel needs a, c in [0, 1], got a={a}, c={c}")
+    a, c = _check_binary(a, c)
     return np.array([[1.0 - a, a], [1.0 - c, c]])
-
-
-def _check_pair(p, q):
-    p = check_distribution(p)
-    q = check_channel(q)
-    if p.shape[0] != q.shape[0]:
-        raise ValueError(f"input length {p.shape[0]} != channel rows {q.shape[0]}")
-    return p, q
 
 
 def output_distribution(p, q):
@@ -91,10 +51,7 @@ def channel_mutual_information(p, q, cfg: LogConfig = None):
     p, q = _check_pair(p, q)
     r = p @ q
     w = p[:, None] * q
-    mask = w > 0.0
-    log_q = _log_b(np.where(mask, q, 1.0), cfg.base)
-    log_r = _log_b(np.where(r > 0.0, r, 1.0), cfg.base)
-    terms = np.where(mask, w * (log_q - log_r[None, :]), 0.0)
+    terms = np.where(w > 0.0, w * (_log_pos(q, cfg.base) - _log_pos(r, cfg.base)), 0.0)
     return math.fsum(terms.ravel()) + 0.0
 
 
@@ -114,9 +71,7 @@ def mi_gradient(p, q, cfg: LogConfig = None):
     r = p @ q
     keep = r >= GRADIENT_OUTPUT_FLOOR
     pos = (q > 0.0) & keep[None, :]
-    log_q = _log_b(np.where(pos, q, 1.0), cfg.base)
-    log_r = _log_b(np.where(keep, r, 1.0), cfg.base)
-    bracket = np.where(pos, q * (log_q - log_r[None, :]), 0.0)
+    bracket = np.where(pos, q * (_log_pos(q, cfg.base) - _log_pos(r, cfg.base)), 0.0)
     const = 1.0 / math.log(cfg.base)
     return np.array([math.fsum(row) - const for row in bracket])
 

@@ -47,12 +47,47 @@ def _log_b(x, base):
     return np.log(x) / math.log(base)
 
 
+def _log_pos(x, base):
+    """``log_b(x)`` where ``x > 0`` and exactly 0 elsewhere, without warnings.
+
+    The masked log behind the convention ``0 * log 0 = 0``: every entry that
+    is not positive gets the value 0, so a zero weight times it is 0.
+    """
+    pos = x > 0.0
+    return np.where(pos, _log_b(np.where(pos, x, 1.0), base), 0.0)
+
+
 def _as_float_array(x, name):
     arr = np.array(x, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _check_cells(x, name, ndim, per_row=False):
+    """The one validity rule behind every probability table in the package.
+
+    ``x`` must be a non-empty, finite, ``ndim``-dimensional array.  Entries in
+    ``[NEG_CLAMP, 0)`` are rounding noise and are clamped to zero; anything
+    more negative, any entry above ``1 + SUM_TOL``, or a total (of each row
+    when ``per_row``) off 1 by more than ``SUM_TOL`` raises ``ValueError``.
+    Accepted inputs are returned as a fresh float array, never renormalized.
+    """
+    arr = _as_float_array(x, name)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if np.any(arr < NEG_CLAMP):
+        raise ValueError(f"{name} has negative entries: min {arr.min()}")
+    arr[arr < 0.0] = 0.0
+    if np.any(arr > 1.0 + SUM_TOL):
+        raise ValueError(f"{name} has entries above 1: max {arr.max()}")
+    for i, cells in enumerate(arr if per_row else [arr.ravel()]):
+        total = math.fsum(cells)
+        if abs(total - 1.0) > SUM_TOL:
+            where = f" row {i}" if per_row else ""
+            raise ValueError(f"{name}{where} sums to {total!r}, not 1")
     return arr
 
 
@@ -64,18 +99,33 @@ def check_distribution(p):
     by more than ``1e-12`` raises ``ValueError``.  Accepted inputs are
     returned as-is, never renormalized; use :func:`normalize` for that.
     """
-    arr = _as_float_array(p, "distribution")
-    if arr.ndim != 1:
-        raise ValueError(f"distribution must be 1-D, got shape {arr.shape}")
-    if np.any(arr < NEG_CLAMP):
-        raise ValueError(f"distribution has negative entries: min {arr.min()}")
-    arr[arr < 0.0] = 0.0
-    if np.any(arr > 1.0 + SUM_TOL):
-        raise ValueError(f"distribution has entries above 1: max {arr.max()}")
-    total = math.fsum(arr)
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"distribution sums to {total!r}, not 1")
-    return arr
+    return _check_cells(p, "distribution", 1)
+
+
+def check_joint(cells):
+    """Validate an n-by-m joint probability table and return it as an array.
+
+    Same rule as :func:`check_distribution`, applied to all cells together.
+    """
+    return _check_cells(cells, "joint distribution", 2)
+
+
+def check_channel(q):
+    """Validate an n-by-m transition matrix and return it as a float array.
+
+    Every row must pass :func:`check_distribution`: entries in [0, 1] (tiny
+    negative rounding noise is clamped) and a sum within ``1e-12`` of 1.
+    """
+    return _check_cells(q, "transition matrix", 2, per_row=True)
+
+
+def _check_pair(p, q):
+    """Validate an input distribution and a channel with one row per input."""
+    p = check_distribution(p)
+    q = check_channel(q)
+    if p.shape[0] != q.shape[0]:
+        raise ValueError(f"input length {p.shape[0]} != channel rows {q.shape[0]}")
+    return p, q
 
 
 def normalize(p):
@@ -89,20 +139,6 @@ def normalize(p):
     return arr / total
 
 
-def check_joint(cells):
-    """Validate an n-by-m joint probability table and return it as an array."""
-    arr = _as_float_array(cells, "joint distribution")
-    if arr.ndim != 2:
-        raise ValueError(f"joint distribution must be 2-D, got shape {arr.shape}")
-    if np.any(arr < NEG_CLAMP):
-        raise ValueError("joint distribution has negative cells")
-    arr[arr < 0.0] = 0.0
-    total = math.fsum(arr.ravel())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"joint distribution sums to {total!r}, not 1")
-    return arr
-
-
 def log_star(x, cfg: LogConfig = None):
     """Starred logarithm: ``log_b(x)`` for ``x > 0``, ``w`` at ``x = 0``.
 
@@ -112,8 +148,7 @@ def log_star(x, cfg: LogConfig = None):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("log_star is undefined for negative values")
-    pos = arr > 0.0
-    out = np.where(pos, _log_b(np.where(pos, arr, 1.0), cfg.base), cfg.star_value)
+    out = np.where(arr > 0.0, _log_pos(arr, cfg.base), cfg.star_value)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -127,8 +162,7 @@ def xlogx_star(x, cfg: LogConfig = None):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("xlogx_star is undefined for negative values")
-    pos = arr > 0.0
-    out = np.where(pos, arr * _log_b(np.where(pos, arr, 1.0), cfg.base), 0.0)
+    out = arr * _log_pos(arr, cfg.base) + 0.0  # + 0.0 turns -0.0 into 0.0
     return float(out) if arr.ndim == 0 else out
 
 
@@ -163,13 +197,8 @@ def conditional_entropy(p, q, cfg: LogConfig = None):
     Returns:
         ``sum_i p_i * H(row_i)``; rows with ``p_i = 0`` contribute zero.
     """
-    from .channel import check_channel  # local import: channel builds on this module
-
     cfg = cfg or _DEFAULT
-    p = check_distribution(p)
-    q = check_channel(q)
-    if p.shape[0] != q.shape[0]:
-        raise ValueError(f"input length {p.shape[0]} != channel rows {q.shape[0]}")
+    p, q = _check_pair(p, q)
     row_entropies = [-math.fsum(xlogx_star(row, cfg)) for row in q]
     return math.fsum(p_i * h_i for p_i, h_i in zip(p, row_entropies)) + 0.0
 

@@ -27,16 +27,13 @@ def _check_square(a):
 def _solve_with_inverse(a, rhs):
     """Solve ``a @ x = rhs`` and invert ``a`` from one LAPACK factorization.
 
-    Returns ``(x, F)`` with ``F = a^{-1}``.  ``a`` is singular, and
+    ``a`` is a checked square float matrix and ``rhs`` a float vector of its
+    order.  Returns ``(x, F)`` with ``F = a^{-1}``.  ``a`` is singular, and
     SingularMatrixError is raised, when LAPACK raises ``LinAlgError`` or when
     ``rcond = 1 / (||a||_1 * ||F||_1)`` is not >= ``RCOND_TOL``; the "not >="
     also rejects a NaN or overflowed ``F``.
     """
-    a = _check_square(a)
     n = a.shape[0]
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (n,):
-        raise ValueError(f"rhs shape {rhs.shape} does not match matrix of order {n}")
     try:
         sol = np.linalg.solve(a, np.column_stack([rhs, np.eye(n)]))
     except np.linalg.LinAlgError as exc:
@@ -51,6 +48,10 @@ def _solve_with_inverse(a, rhs):
 
 def solve(a, rhs):
     """Solve ``a @ x = rhs`` for a square matrix."""
+    a = _check_square(a)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (a.shape[0],):
+        raise ValueError(f"rhs shape {rhs.shape} does not match matrix of order {a.shape[0]}")
     return _solve_with_inverse(a, rhs)[0]
 
 

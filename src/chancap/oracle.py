@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import GRADIENT_OUTPUT_FLOOR, check_channel
-from .entropy import LogConfig, _DEFAULT, _log_b, check_distribution, xlogx_star
+from .entropy import LogConfig, _DEFAULT, _check_pair, _log_b, _log_pos, xlogx_star
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class GridResult(NamedTuple):
     p1: float  # mass on the first input at the best grid point
 
 
-def _masked_log(q, base):
-    mask = q > 0.0
-    return mask, np.where(mask, _log_b(np.where(mask, q, 1.0), base), 0.0)
-
-
 def _divergences(q, logq, r, base):
     # d_i = sum_j q_ij (log_b q_ij - log_b r_j).  Entries with q_ij = 0 have
     # logq = 0 there and the floor keeps logr finite, so the product is an
@@ -69,12 +64,8 @@ def capacity_bounds(p, q, cfg: LogConfig = None):
     is the largest single-input divergence, which dominates the capacity.
     """
     cfg = _DEFAULT if cfg is None else cfg
-    q = check_channel(q)
-    p = check_distribution(p)
-    if p.shape[0] != q.shape[0]:
-        raise ValueError(f"input length {p.shape[0]} does not match channel rows {q.shape[0]}")
-    _, logq = _masked_log(q, cfg.base)
-    d = _divergences(q, logq, p @ q, cfg.base)
+    p, q = _check_pair(p, q)
+    d = _divergences(q, _log_pos(q, cfg.base), p @ q, cfg.base)
     return float(p @ d), float(d.max())
 
 
@@ -128,7 +119,7 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     if q.shape == (2, 2):
         return _blahut_arimoto_2x2(q, cfg.base, oracle.tolerance, oracle.max_iterations)
     n = q.shape[0]
-    _, logq = _masked_log(q, cfg.base)
+    logq = _log_pos(q, cfg.base)
     ln_base = math.log(cfg.base)
     p = np.full(n, 1.0 / n)
     lower = 0.0

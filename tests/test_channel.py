@@ -8,8 +8,10 @@ import pytest
 from chancap import (
     LogConfig,
     binary_channel,
+    capacity_bounds,
     channel_mutual_information,
     check_channel,
+    conditional_entropy,
     joint_distribution,
     mi_gradient,
     mutual_information,
@@ -54,6 +56,11 @@ class TestBinaryChannel:
             binary_channel(-0.1, 0.5)
         with pytest.raises(ValueError):
             binary_channel(0.1, 1.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                binary_channel(bad, 0.5)
+            with pytest.raises(ValueError):
+                binary_channel(0.5, bad)
 
 
 class TestInducedDistributions:
@@ -73,9 +80,22 @@ class TestInducedDistributions:
         np.testing.assert_allclose(j.sum(axis=1), p, atol=1e-15)
         np.testing.assert_allclose(j.sum(axis=0), output_distribution(p, q), atol=1e-15)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            output_distribution([1.0], binary_channel(0.0, 0.5))
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            output_distribution,
+            joint_distribution,
+            channel_mutual_information,
+            mi_gradient,
+            conditional_entropy,
+            capacity_bounds,
+        ],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_length_mismatch(self, fn):
+        """Every (input, channel) function rejects an input of the wrong length."""
+        with pytest.raises(ValueError, match="input length"):
+            fn([0.5, 0.25, 0.25], binary_channel(0.0, 0.5))
 
 
 class TestChannelMutualInformation:

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chancap import (
+    SUM_TOL,
     LogConfig,
+    check_channel,
     check_distribution,
     check_joint,
     conditional_entropy,
@@ -19,8 +21,52 @@ from chancap import (
     normalize,
     xlogx_star,
 )
+from chancap.entropy import NEG_CLAMP
 
 W_VALUES = [0.0, -50.0, 7.0]
+
+#: Entries on and just past each edge of the validity rule.
+EDGE_ENTRIES = [
+    NEG_CLAMP,
+    float(np.nextafter(NEG_CLAMP, -1.0)),
+    -5e-16,
+    0.0,
+    1.0,
+    1.0 + SUM_TOL,
+    float(np.nextafter(1.0 + SUM_TOL, 2.0)),
+]
+
+
+@st.composite
+def near_boundary_tables(draw):
+    """Small tables normalized per row or in total, with edge entries planted
+    and the last cell (of each row, or of the table) set so the sum is off 1
+    by up to 2e-12."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n * m, max_size=n * m))
+    cells = np.array(weights, dtype=float).reshape(n, m)
+    per_row = draw(st.booleans())
+    cells /= cells.sum(axis=1, keepdims=True) if per_row else cells.sum()
+    for _ in range(draw(st.integers(0, 3))):
+        cells[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from(EDGE_ENTRIES)
+        )
+    off = st.floats(-2e-12, 2e-12)
+    if per_row:
+        for row in cells:
+            row[-1] = 1.0 - math.fsum(row[:-1]) + draw(off)
+    else:
+        cells[-1, -1] = 0.0
+        cells[-1, -1] = 1.0 - math.fsum(cells.ravel()) + draw(off)
+    return cells
+
+
+def _outcome(check, x):
+    """The validated array, or None when ``check`` rejects ``x``."""
+    try:
+        return check(x)
+    except ValueError:
+        return None
 
 
 class TestLogStar:
@@ -232,6 +278,26 @@ class TestJointForms:
         assert entropy(p) + conditional_entropy(p, q) == pytest.approx(
             joint_entropy(joint), abs=1e-12
         )
+
+
+class TestOneValidityRule:
+    @settings(max_examples=300)
+    @given(near_boundary_tables())
+    def test_channel_and_joint_apply_the_distribution_rule(self, cells):
+        """check_channel is check_distribution on every row; check_joint is
+        check_distribution on the flattened table.  Same verdict, same values."""
+        rows = [_outcome(check_distribution, row) for row in cells]
+        channel = _outcome(check_channel, cells)
+        if any(r is None for r in rows):
+            assert channel is None
+        else:
+            np.testing.assert_array_equal(channel, np.vstack(rows))
+        flat = _outcome(check_distribution, cells.ravel())
+        joint = _outcome(check_joint, cells)
+        if flat is None:
+            assert joint is None
+        else:
+            np.testing.assert_array_equal(joint, flat.reshape(cells.shape))
 
 
 class TestLogConfig:
