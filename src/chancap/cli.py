@@ -11,6 +11,7 @@ exactly.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -166,7 +167,10 @@ def ingest_matrix(raw):
     raw = np.array(raw, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("matrix contains non-finite entries")
-    sums = np.array([math.fsum(row) for row in raw])
+    try:
+        sums = np.array([math.fsum(row) for row in raw])
+    except OverflowError as exc:  # finite entries near the float limit
+        raise ValueError(f"row sums overflow: {exc}") from exc
     dev = float(np.abs(sums - 1.0).max())
     if dev > INGEST_ROW_SUM_TOL:
         raise ValueError(f"row sums deviate from 1 by {dev:g}, beyond {INGEST_ROW_SUM_TOL:g}")
@@ -278,7 +282,11 @@ def solve_channel(q, method, cfg, ocfg):
     return result, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
+@functools.cache
 def _build_parser():
+    # Built once per process: construction costs about as much as a 2x2 solve,
+    # and parse_args leaves the parser as it was, so in-process callers of
+    # run() can share it.
     parser = argparse.ArgumentParser(
         prog="capacity",
         description="Capacity of a discrete memoryless channel from its transition matrix.",

@@ -4,7 +4,9 @@ Two oracles: the alternating-maximization scheme with a certified
 optimality gap (works for any channel shape), and a brute-force grid sweep
 over the input simplex for binary channels.  Both exist so the explicit
 formulas elsewhere in the package can be cross-checked against methods that
-share none of their algebra.
+share none of their code.  The alternating scheme's Newton polish solves the
+same optimality conditions as Muroga's construction, but nothing it returns
+is trusted without the bracket.
 """
 
 import math
@@ -65,73 +67,133 @@ def capacity_bounds(p, q, cfg: LogConfig = None):
     """
     cfg = _DEFAULT if cfg is None else cfg
     p, q = _check_pair(p, q)
-    d = _divergences(q, _log_pos(q, cfg.base), p @ q, cfg.base)
-    return float(p @ d), float(d.max())
+    _, lower, upper = _bracket(q, _log_pos(q, cfg.base), p, cfg.base)
+    return lower, upper
 
 
-def _blahut_arimoto_2x2(q, base, tol, max_iter):
-    # Scalar transcription of the loop below for the 2x2 case, which the
-    # acceptance workload hits thousands of times; avoids numpy call
-    # overhead without changing the algorithm.
-    q00, q01, q10, q11 = float(q[0, 0]), float(q[0, 1]), float(q[1, 0]), float(q[1, 1])
-    ln_b = math.log(base)
+def _bracket(q, logq, p, base):
+    # (d, lower, upper) of p: the one certificate, shared by capacity_bounds,
+    # every BA sweep and the Newton polish's acceptance test.
+    d = _divergences(q, logq, p @ q, base)
+    return d, float(p @ d), float(d.max())
 
-    def lg(x):
-        return math.log(x) / ln_b if x > 0.0 else 0.0
 
-    l00, l01, l10, l11 = lg(q00), lg(q01), lg(q10), lg(q11)
-    floor = GRADIENT_OUTPUT_FLOOR
-    p0 = p1 = 0.5
-    lower = 0.0
-    for iteration in range(1, max_iter + 1):
-        r0 = p0 * q00 + p1 * q10
-        r1 = p0 * q01 + p1 * q11
-        lr0 = math.log(r0 if r0 > floor else floor) / ln_b
-        lr1 = math.log(r1 if r1 > floor else floor) / ln_b
-        d0 = q00 * (l00 - lr0) + q01 * (l01 - lr1)
-        d1 = q10 * (l10 - lr0) + q11 * (l11 - lr1)
-        upper = d0 if d0 >= d1 else d1
-        w0 = p0 * math.exp((d0 - upper) * ln_b)
-        w1 = p1 * math.exp((d1 - upper) * ln_b)
-        z = w0 + w1
-        lower = upper + math.log(z) / ln_b
-        p0 = w0 / z
-        p1 = w1 / z
-        if upper - lower <= tol:
-            return BAResult(lower, np.array([p0, p1]), iteration, True)
-    return BAResult(lower, np.array([p0, p1]), max_iter, False)
+#: The polish takes as support the inputs with at least this share of the
+#: largest input mass.
+SUPPORT_SHARE = 1e-3
+#: Newton steps per support before the polish gives up on it.
+NEWTON_STEPS = 30
+
+
+def _newton_support(q, logq, p, base, tol):
+    """Solve the KKT system on a guessed support; a candidate input or None.
+
+    Unknowns are p_S and C; the equations d_S(p) - C = 0 and sum(p_S) = 1.
+    Since dd_i/dp_l = -sum_j q_ij q_lj / (r_j ln b), the Jacobian is
+    -Q_S diag(1/r) Q_S^T / ln b bordered by a column of -1 and a row of 1.
+    A step that makes some p_S non-positive drops the most negative input
+    and starts again from ``p`` on the smaller support.
+    """
+    ln_base = math.log(base)
+    order = np.argsort(-p, kind="stable")[: q.shape[1]]
+    support = order[p[order] >= SUPPORT_SHARE * p[order[0]]]
+    while support.size:
+        k = support.size
+        # Outputs no support input reaches add nothing to d_S or the Jacobian.
+        cols = q[support].any(axis=0)
+        qs, logqs = q[support][:, cols], logq[support][:, cols]
+        ps = p[support] / p[support].sum()
+        jac = np.zeros((k + 1, k + 1))
+        jac[:k, k] = -1.0
+        jac[k, :k] = 1.0
+        rhs = np.empty(k + 1)
+        c = None
+        for _ in range(NEWTON_STEPS):
+            r = ps @ qs
+            d = _divergences(qs, logqs, r, base)
+            if c is None:
+                c = float(ps @ d)
+            res = d - c
+            worst = float(np.abs(res).max())
+            if not math.isfinite(worst):
+                return None
+            if worst <= tol / 4:
+                out = np.zeros_like(p)
+                out[support] = ps / ps.sum()
+                return out
+            jac[:k, :k] = (qs / r) @ qs.T / -ln_base
+            if not np.isfinite(jac).all():
+                return None  # an output mass underflowed; LAPACK cannot use this
+            rhs[:k] = -res
+            rhs[k] = 1.0 - ps.sum()
+            try:
+                step = np.linalg.solve(jac, rhs)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(jac, rhs, rcond=None)[0]
+            ps = ps + step[:k]
+            c += float(step[k])
+            if not ps.min() > 0.0:
+                support = np.delete(support, int(np.argmin(ps)))
+                break
+        else:
+            return None
+    return None
 
 
 def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAResult:
-    """Alternating maximization from the uniform input.
+    """Alternating maximization from the uniform input, with a certified Newton polish.
 
-    Each pass computes d_i = sum_j q_ij (log_b q_ij - log_b r_j) against the
-    current output distribution r = p Q, then rescales p by b**d_i.  The
-    classical bound pair brackets the capacity: max_i d_i from above and
-    log_b(sum_i p_i b**d_i) from below (the log of the rescaling normalizer,
-    so it costs nothing extra).  The loop stops when the bracket width
-    reaches ``oracle.tolerance``; the reported capacity is the lower bound,
-    which is nondecreasing in the iteration count.
+    Each sweep computes d_i = sum_j q_ij (log_b q_ij - log_b r_j) against the
+    current output distribution r = p Q, and with it the certificate of p:
+    the capacity lies between the mutual information I(p) = sum_i p_i d_i
+    and max_i d_i.  Once the bracket width is at most ``oracle.tolerance``
+    the loop stops and reports I(p); otherwise it rescales p by b**d_i,
+    which never lowers I(p) (in exact arithmetic).
+
+    KKT system.  p is optimal exactly when d_i = C on the inputs with
+    p_i > 0 and d_i <= C on the rest, with C the capacity and sum p = 1.  On
+    a square channel with full support this is Muroga's system.
+
+    Support bound.  The optimal output r* is unique, so the optimal inputs
+    form a polytope, and each of its vertices has support at most
+    rank Q <= m.  At sweeps 4, 8, 16, ... (doubling, so failed attempts cost
+    O(log sweeps) solves) the loop takes as support S the inputs with
+    p_i >= SUPPORT_SHARE * max p, at most the m largest, and runs Newton on
+    d_S - C = 0, sum p_S = 1 (``_newton_support``).
+
+    Acceptance rule.  The Newton answer is accepted only if its own
+    certificate, computed exactly as ``capacity_bounds`` computes it, has
+    width at most ``oracle.tolerance`` and its I(p) is at least the current
+    sweep's; the reported capacity is then that I(p).  Otherwise the sweeps
+    go on.  So correctness never rests on the support guess, the capacity is
+    nondecreasing in ``oracle.max_iterations`` (up to rounding of I(p)),
+    ``iterations`` counts sweeps, and a converged result's ``capacity`` is
+    the lower bound of ``capacity_bounds(input_dist, q)``, whose width is at
+    most the tolerance.
     """
     cfg = _DEFAULT if cfg is None else cfg
     oracle = _DEFAULT_ORACLE if oracle is None else oracle
     q = check_channel(q)
-    if q.shape == (2, 2):
-        return _blahut_arimoto_2x2(q, cfg.base, oracle.tolerance, oracle.max_iterations)
-    n = q.shape[0]
+    tol = oracle.tolerance
     logq = _log_pos(q, cfg.base)
     ln_base = math.log(cfg.base)
-    p = np.full(n, 1.0 / n)
-    lower = 0.0
+    p = np.full(q.shape[0], 1.0 / q.shape[0])
+    polish_at = 4
     for iteration in range(1, oracle.max_iterations + 1):
-        d = _divergences(q, logq, p @ q, cfg.base)
-        upper = float(d.max())
-        w = p * np.exp((d - upper) * ln_base)
-        z = float(w.sum())  # sum_i p_i b**(d_i - upper), in (0, 1]
-        lower = upper + math.log(z) / ln_base
-        p = w / z
-        if upper - lower <= oracle.tolerance:
+        if iteration > 1:
+            w = p * np.exp((d - upper) * ln_base)
+            p = w / w.sum()
+        d, lower, upper = _bracket(q, logq, p, cfg.base)
+        if upper - lower <= tol:
             return BAResult(lower, p, iteration, True)
+        if iteration == polish_at:
+            polish_at *= 2
+            with np.errstate(all="ignore"):  # a failed step is caught below, not warned
+                cand = _newton_support(q, logq, p, cfg.base, tol)
+            if cand is not None:
+                _, c_lower, c_upper = _bracket(q, logq, cand, cfg.base)
+                if c_upper - c_lower <= tol and c_lower >= lower:
+                    return BAResult(c_lower, cand, iteration, True)
     return BAResult(lower, p, oracle.max_iterations, False)
 
 

@@ -335,9 +335,11 @@ class TestRun:
         capsys.readouterr()
 
     def test_invalid_matrix_exit(self, tmp_path, capsys):
-        path = write_channel_file(tmp_path, "m.json", {"matrix": [[0.9, 0.2], [0.5, 0.5]]})
-        assert run(["--matrix", path]) == EXIT_BAD_MATRIX
-        capsys.readouterr()
+        # The second file's row sum overflows a float although every entry is finite.
+        for name, rows in (("m.json", [[0.9, 0.2], [0.5, 0.5]]), ("big.json", [[1e308, 1e308], [0.5, 0.5]])):
+            path = write_channel_file(tmp_path, name, {"matrix": rows})
+            assert run(["--matrix", path]) == EXIT_BAD_MATRIX
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_singular_with_explicit_muroga_exit(self, capsys):
         assert run(["--a", "0.3", "--c", "0.3", "--method", "muroga"]) == EXIT_BAD_MATRIX
