@@ -105,8 +105,14 @@ def binary_optimal_input(a, c, cfg: LogConfig = None):
     """Capacity-achieving input distribution (p1, p2).
 
     Base independent (``cfg`` accepted for symmetry with binary_capacity).
-    For 0 < a < c < 1 both entries provably lie in [1/e, 1 - 1/e], so the
-    closed form is always feasible there.
+    For 0 < a < c < 1 both entries provably lie in [1/e, 1 - 1/e], so in
+    exact arithmetic the closed form is always feasible there.  In floating
+    point it is not: the formula divides a cancelling difference by c - a,
+    and from about |c - a| <~ 1e-7 down the computed entries drift from 1/2
+    and can leave [0, 1] (``binary_optimal_input(0.3, 0.3 + 1e-9)`` returns
+    about [-25.8, 26.8]).  The CLI report's certificate shows such an input
+    as ``feasible: false``, and ``auto`` falls back to Blahut-Arimoto on it.
+    A stable formula is ROADMAP open item 1.
     """
     a, c = _check_nondegenerate(a, c)
     w1, w2 = _shifted_weights(*_aux(a, c))

@@ -1,6 +1,7 @@
 """Iterative capacity solvers and their certified bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from chancap import (
     OracleConfig,
     binary_capacity,
     binary_channel,
+    binary_optimal_input,
     blahut_arimoto,
     capacity_bounds,
     grid_search_binary,
 )
+from chancap.channel import check_channel
+from chancap.entropy import _DEFAULT, xlogx_star
+from chancap.oracle import _DEFAULT_ORACLE, GridResult
 
 
 class TestOracleConfig:
@@ -32,6 +37,18 @@ class TestOracleConfig:
             OracleConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OracleConfig(grid_resolution=1)
+
+    @pytest.mark.parametrize("field", ["max_iterations", "grid_resolution"])
+    @pytest.mark.parametrize("value", [1e6, 2.5, 10.0, np.float64(100.0), True, np.True_])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OracleConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.int64(11), np.int32(11), np.uint16(11)])
+    def test_numpy_integer_counts_accepted(self, value):
+        ocfg = OracleConfig(max_iterations=value, grid_resolution=value)
+        assert blahut_arimoto(binary_channel(0.0, 0.5), oracle=ocfg).iterations <= 11
+        assert grid_search_binary(binary_channel(0.0, 0.5), oracle=ocfg).p1 == pytest.approx(0.6)
 
 
 class TestBlahutArimoto:
@@ -206,6 +223,95 @@ class TestGridSearch:
             g = grid_search_binary(binary_channel(a, c))
             b = blahut_arimoto(binary_channel(a, c))
             assert g.capacity == pytest.approx(b.capacity, abs=1e-6)
+
+
+def _exhaustive_grid(q, cfg: LogConfig = None, oracle: OracleConfig = None):
+    """Reference: the grid search that evaluates every one of the R points."""
+    cfg = _DEFAULT if cfg is None else cfg
+    oracle = _DEFAULT_ORACLE if oracle is None else oracle
+    q = check_channel(q)
+    if q.shape[0] != 2:
+        raise ValueError(f"grid search needs exactly 2 input rows, got {q.shape[0]}")
+    t = np.linspace(0.0, 1.0, oracle.grid_resolution)
+    row_entropy_1 = -math.fsum(xlogx_star(q[0], cfg))
+    row_entropy_2 = -math.fsum(xlogx_star(q[1], cfg))
+    out_entropy = np.zeros_like(t)
+    for j in range(q.shape[1]):
+        out_entropy -= xlogx_star(t * q[0, j] + (1.0 - t) * q[1, j], cfg)
+    mi = out_entropy - (t * row_entropy_1 + (1.0 - t) * row_entropy_2)
+    best = int(np.argmax(mi))
+    return GridResult(float(mi[best]), float(t[best]))
+
+
+@st.composite
+def two_input_channels(draw):
+    """2 x m, m = 2..5: zero columns, tiny entries, near-duplicate and
+    identical rows, and binary channels with |c - a| down to 1e-12."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(
+        st.sampled_from(["plain", "zero column", "tiny", "near-duplicate", "identical", "binary"])
+    )
+    if kind == "binary":
+        a = draw(st.floats(0.0, 1.0))
+        gap = max(a, 1.0 - a) * 10.0 ** draw(st.floats(-12.0, 0.0))
+        return binary_channel(a, a + gap if a + gap <= 1.0 else a - gap)
+    m = draw(st.integers(2, 5))
+    q = rng.dirichlet(np.full(m, draw(st.sampled_from([0.2, 1.0, 5.0]))), size=2)
+    if kind == "zero column":
+        q[:, rng.integers(m)] = 0.0
+    elif kind == "tiny":
+        q[:, rng.integers(m)] *= 10.0 ** -draw(st.floats(20.0, 200.0))
+    elif kind == "near-duplicate":
+        eps = 10.0 ** draw(st.floats(-12.0, -1.0))
+        q[1] = (1.0 - eps) * q[0] + eps * q[1]
+    elif kind == "identical":
+        q[1] = q[0]
+    return q / q.sum(axis=1, keepdims=True)
+
+
+BASES = st.sampled_from([2.0, math.e, 10.0])
+
+
+class TestGridExactness:
+    """The coarse-to-fine search returns what the exhaustive sweep returns,
+    bit for bit: the same capacity and the same (first) best grid point."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        two_input_channels(),
+        BASES,
+        st.sampled_from([2, 3, 11, 1000, 2049, 4097, 65539, 10**5]),
+    )
+    def test_matches_exhaustive_sweep(self, q, base, resolution):
+        cfg, ocfg = LogConfig(base=base), OracleConfig(grid_resolution=resolution)
+        assert grid_search_binary(q, cfg, ocfg) == _exhaustive_grid(q, cfg, ocfg)
+
+    @settings(deadline=None, max_examples=12)
+    @given(two_input_channels(), BASES)
+    def test_matches_exhaustive_sweep_at_default_resolution(self, q, base):
+        cfg = LogConfig(base=base)
+        assert grid_search_binary(q, cfg) == _exhaustive_grid(q, cfg)
+
+
+class TestGridMemory:
+    """The search never holds arrays that grow with the resolution."""
+
+    @pytest.mark.parametrize(
+        "a, c, resolution",
+        [(0.1, 0.7, 10**6), (0.3, 0.3 + 1e-10, 10**6), (0.1, 0.7, 10**8)],
+        ids=["separated", "near-degenerate", "separated-1e8"],
+    )
+    def test_traced_peak_is_bounded(self, a, c, resolution):
+        q = binary_channel(a, c)
+        tracemalloc.start()
+        try:
+            res = grid_search_binary(q, oracle=OracleConfig(grid_resolution=resolution))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        if resolution == 10**8:
+            assert abs(res.p1 - binary_optimal_input(a, c)[0]) <= 1e-7
 
 
 class TestCapacityBounds:
