@@ -12,6 +12,7 @@ exactly.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -149,10 +150,13 @@ def read_channel_file(path):
     width = len(rows[0])
     if width == 0 or any(len(r) != width for r in rows):
         raise ChannelFileError("matrix rows must all have the same positive length")
-    for r in rows:
-        for v in r:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ChannelFileError(f"matrix entries must be numbers, got {v!r}")
+    # json.loads yields exact int and float for numbers, so one C-level scan
+    # of the entry types decides; the loop only names the first bad entry.
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        for r in rows:
+            for v in r:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ChannelFileError(f"matrix entries must be numbers, got {v!r}")
     base = obj.get("base")
     if base is not None and (isinstance(base, bool) or not isinstance(base, (int, float))):
         raise ChannelFileError(f'"base" must be a number, got {base!r}')
@@ -168,7 +172,7 @@ def ingest_matrix(raw):
     if not np.all(np.isfinite(raw)):
         raise ValueError("matrix contains non-finite entries")
     try:
-        sums = np.array([math.fsum(row) for row in raw])
+        sums = np.array([math.fsum(row) for row in raw.tolist()])
     except OverflowError as exc:  # finite entries near the float limit
         raise ValueError(f"row sums overflow: {exc}") from exc
     dev = float(np.abs(sums - 1.0).max())

@@ -83,7 +83,8 @@ def _check_cells(x, name, ndim, per_row=False):
     arr[arr < 0.0] = 0.0
     if np.any(arr > 1.0 + SUM_TOL):
         raise ValueError(f"{name} has entries above 1: max {arr.max()}")
-    for i, cells in enumerate(arr if per_row else [arr.ravel()]):
+    # fsum over Python floats: the same exact sums, without numpy scalars.
+    for i, cells in enumerate(arr.tolist() if per_row else [arr.ravel().tolist()]):
         total = math.fsum(cells)
         if abs(total - 1.0) > SUM_TOL:
             where = f" row {i}" if per_row else ""

@@ -59,7 +59,7 @@ def _exp_b(t, base):
 
 def _row_terms(q, cfg):
     """h_i = sum_j q_ij log_b q_ij, each row summed exactly rounded."""
-    return np.array([math.fsum(row) for row in xlogx_star(q, cfg)])
+    return np.array([math.fsum(row) for row in xlogx_star(q, cfg).tolist()])
 
 
 def solve_auxiliary(q, cfg: LogConfig = None):

@@ -87,24 +87,62 @@ def _bracket(q, logq, p, base):
 
 
 #: The polish takes as support the inputs with at least this share of the
-#: largest input mass.
+#: largest input mass; an input the certificate adds enters with this share.
 SUPPORT_SHARE = 1e-3
 #: Newton steps per support before the polish gives up on it.
 NEWTON_STEPS = 30
+#: A row whose least-squares residual against the support's rows is at most
+#: this lies in their span (measured: 8e-16 when it does, 0.015 when not).
+SPAN_TOL = 1e-9
 
 
-def _newton_support(q, logq, p, base, tol):
-    """Solve the KKT system on a guessed support; a candidate input or None.
+def _add_input(q, cand, j):
+    """Warm start for the support of ``cand`` plus the input j it fails on.
+
+    If row j lies in the span of the support's rows, then v with v_j = 1 and
+    v_S solving Q_S^T v_S = -q_j has v Q = 0, so sum v = 0: moving ``cand``
+    along v keeps the output r, hence every divergence, and raises I(p) at
+    rate d_j - C > 0.  The move stops where the first support input reaches
+    0, and that input leaves (the simplex method's ratio test).  Without it
+    a support that already spans the rows would gain j and, the system
+    being singular, lose j again on the next drop.  Otherwise j enters with
+    SUPPORT_SHARE of the largest mass.
+    """
+    support = np.flatnonzero(cand)
+    qs = q[support]
+    v = np.linalg.lstsq(qs.T, -q[j], rcond=None)[0]
+    start = cand.copy()
+    shrink = v < 0.0
+    if np.abs(v @ qs + q[j]).max() <= SPAN_TOL and shrink.any():
+        ratios = cand[support][shrink] / -v[shrink]
+        t = float(ratios.min())
+        start[support] += t * v
+        start[support[shrink][np.argmin(ratios)]] = 0.0
+        np.maximum(start, 0.0, out=start)
+        start[j] = t
+    else:
+        start[j] = SUPPORT_SHARE * cand.max()
+    return start / start.sum()
+
+
+def _newton_support(q, logq, p, base, tol, support=None):
+    """Solve the KKT system on a support; a candidate input or None.
 
     Unknowns are p_S and C; the equations d_S(p) - C = 0 and sum(p_S) = 1.
     Since dd_i/dp_l = -sum_j q_ij q_lj / (r_j ln b), the Jacobian is
     -Q_S diag(1/r) Q_S^T / ln b bordered by a column of -1 and a row of 1.
-    A step that makes some p_S non-positive drops the most negative input
-    and starts again from ``p`` on the smaller support.
+    Newton starts from ``p`` restricted to S.  Without ``support``, S is
+    guessed from ``p``: the inputs with p_i >= SUPPORT_SHARE * max p, at most
+    the m largest; the caller passes one to grow S by an input the
+    certificate flagged (``_add_input``).  A step that makes some p_S
+    non-positive drops the most negative input and starts again from ``p``
+    on the smaller support; so S only shrinks here, and only the caller
+    adds.
     """
     ln_base = math.log(base)
-    order = np.argsort(-p, kind="stable")[: q.shape[1]]
-    support = order[p[order] >= SUPPORT_SHARE * p[order[0]]]
+    if support is None:
+        order = np.argsort(-p, kind="stable")[: q.shape[1]]
+        support = order[p[order] >= SUPPORT_SHARE * p[order[0]]]
     while support.size:
         k = support.size
         # Outputs no support input reaches add nothing to d_S or the Jacobian.
@@ -148,6 +186,30 @@ def _newton_support(q, logq, p, base, tol):
     return None
 
 
+def _polish(q, logq, p, lower, base, tol):
+    """(I, input) of a certified Newton candidate with I >= ``lower``, or None.
+
+    The two-sided active set of ``blahut_arimoto``: the first support is
+    guessed from ``p``, Newton drops inputs, and the certificate adds the
+    input with the largest divergence, at most m times.
+    """
+    start, support = p, None
+    for _ in range(q.shape[1] + 1):
+        with np.errstate(all="ignore"):  # a failed step is caught below, not warned
+            cand = _newton_support(q, logq, start, base, tol, support)
+        if cand is None:
+            return None
+        d, c_lower, c_upper = _bracket(q, logq, cand, base)
+        if c_upper - c_lower <= tol:
+            return (c_lower, cand) if c_lower >= lower else None
+        j = int(np.argmax(d))
+        if cand[j] > 0.0:
+            return None
+        start = _add_input(q, cand, j)
+        support = np.flatnonzero(start)
+    return None
+
+
 def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAResult:
     """Alternating maximization from the uniform input, with a certified Newton polish.
 
@@ -165,19 +227,27 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     Support bound.  The optimal output r* is unique, so the optimal inputs
     form a polytope, and each of its vertices has support at most
     rank Q <= m.  At sweeps 4, 8, 16, ... (doubling, so failed attempts cost
-    O(log sweeps) solves) the loop takes as support S the inputs with
-    p_i >= SUPPORT_SHARE * max p, at most the m largest, and runs Newton on
-    d_S - C = 0, sum p_S = 1 (``_newton_support``).
+    O(log sweeps) polishes) the loop runs a two-sided active set on
+    d_S - C = 0, sum p_S = 1 (``_polish``).  The first support S is the
+    inputs with p_i >= SUPPORT_SHARE * max p, at most the m largest, and
+    Newton drops an input that a step drives out of the simplex
+    (``_newton_support``).  If the candidate's certificate is too wide and
+    its largest divergence d_j sits at an input j outside S, j is added and
+    Newton solves again from the candidate (``_add_input``); an attempt makes
+    at most m additions and stops when the largest d_j is already in S.  The
+    add step reads the d that the certificate has just computed, so a first
+    candidate that passes costs nothing more.
 
-    Acceptance rule.  The Newton answer is accepted only if its own
+    Acceptance rule.  Each candidate is accepted only if its own
     certificate, computed exactly as ``capacity_bounds`` computes it, has
     width at most ``oracle.tolerance`` and its I(p) is at least the current
     sweep's; the reported capacity is then that I(p).  Otherwise the sweeps
-    go on.  So correctness never rests on the support guess, the capacity is
-    nondecreasing in ``oracle.max_iterations`` (up to rounding of I(p)),
-    ``iterations`` counts sweeps, and a converged result's ``capacity`` is
-    the lower bound of ``capacity_bounds(input_dist, q)``, whose width is at
-    most the tolerance.
+    go on.  So correctness never rests on the support guess, nor on which
+    inputs were dropped or added; the capacity is nondecreasing in
+    ``oracle.max_iterations`` (up to rounding of I(p)), ``iterations``
+    counts sweeps, and a converged result's ``capacity`` is the lower bound
+    of ``capacity_bounds(input_dist, q)``, whose width is at most the
+    tolerance.
     """
     cfg = _DEFAULT if cfg is None else cfg
     oracle = _DEFAULT_ORACLE if oracle is None else oracle
@@ -196,12 +266,9 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
             return BAResult(lower, p, iteration, True)
         if iteration == polish_at:
             polish_at *= 2
-            with np.errstate(all="ignore"):  # a failed step is caught below, not warned
-                cand = _newton_support(q, logq, p, cfg.base, tol)
-            if cand is not None:
-                _, c_lower, c_upper = _bracket(q, logq, cand, cfg.base)
-                if c_upper - c_lower <= tol and c_lower >= lower:
-                    return BAResult(c_lower, cand, iteration, True)
+            polished = _polish(q, logq, p, lower, cfg.base, tol)
+            if polished is not None:
+                return BAResult(*polished, iteration, True)
     return BAResult(lower, p, oracle.max_iterations, False)
 
 
