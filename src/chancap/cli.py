@@ -27,7 +27,7 @@ from .binary import (
     binary_optimal_output,
 )
 from .channel import binary_channel, check_channel
-from .entropy import SUM_TOL, LogConfig
+from .entropy import SUM_TOL, LogConfig, _as_float_array, _unsettled
 from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, feasible_input, muroga_capacity
 from .oracle import OracleConfig, blahut_arimoto, capacity_bounds, grid_search_binary
 
@@ -72,7 +72,8 @@ def _fmt(x):
 
 
 def _vec(values):
-    return "[" + ", ".join(_fmt(v) for v in values) + "]"
+    # One %-format over every value; adding 0.0 turns -0.0 into 0.0, as _fmt does.
+    return "[" + ", ".join(["%.17g"] * len(values)) % tuple(map((0.0).__add__, values)) + "]"
 
 
 def emit_report(result: CapacityResult, format: str = "json") -> str:
@@ -127,6 +128,16 @@ def parse_report(text: str) -> CapacityResult:
     )
 
 
+def _json_int(text):
+    """An int literal as ``json`` reads it; beyond the float range, its float spelling.
+
+    ``1`` followed by 400 zeros then reads as ``1e400`` does, an infinity,
+    which the checks downstream report; as an int it would overflow numpy.
+    """
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
 def read_channel_file(path):
     """Load a channel file: {"matrix": rows, "base"?: real, "method"?: text}.
 
@@ -139,7 +150,7 @@ def read_channel_file(path):
     except OSError as exc:
         raise ChannelFileError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ChannelFileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "matrix" not in obj:
@@ -168,9 +179,15 @@ def read_channel_file(path):
 
 def ingest_matrix(raw):
     """Apply the loose row-sum tolerance, renormalize with a warning, validate."""
-    raw = np.array(raw, dtype=float)
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("matrix contains non-finite entries")
+    raw, lo, _ = _as_float_array(raw, "matrix")
+    # numpy's sums settle the common case, every row within SUM_TOL of 1, by
+    # the bound in entropy._check_cells; a sum that overflows stays unsettled.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = raw.sum(axis=1)
+        # With no negative entry, the sum of |x| is the row sum itself.
+        magnitudes = sums if lo >= 0.0 else np.abs(raw).sum(axis=1)
+    if not _unsettled(sums, magnitudes, raw.shape[1]):
+        return check_channel(raw)
     try:
         sums = np.array([math.fsum(row) for row in raw.tolist()])
     except OverflowError as exc:  # finite entries near the float limit
@@ -212,8 +229,8 @@ def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallbac
         capacity=capacity,
         units=_units(cfg.base),
         method=method,
-        optimal_input=tuple(float(v) for v in p),
-        optimal_output=tuple(float(v) for v in (p @ q if r is None else r)),
+        optimal_input=tuple(p.tolist()),
+        optimal_output=tuple((p @ q if r is None else r).tolist()),
         feasible=feasible,
         fallback_used=fallback_used,
         diagnostics=diagnostics,

@@ -57,13 +57,39 @@ def _log_pos(x, base):
     return np.where(pos, _log_b(np.where(pos, x, 1.0), base), 0.0)
 
 
+#: Unit roundoff of float64: round to nearest errs by at most u relative.
+_U = 2.0**-53
+
+
 def _as_float_array(x, name):
-    arr = np.array(x, dtype=float)
+    """``x`` as a fresh float array, with its smallest and largest entry.
+
+    An int too large for a float reads as its float spelling, an infinity;
+    NaN propagates through ``min`` and ``max``, so their finiteness is the
+    finiteness of every entry.
+    """
+    try:
+        arr = np.array(x, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} contains non-finite entries") from None
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    lo, hi = arr.min(), arr.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return arr, lo, hi
+
+
+def _unsettled(sums, magnitudes, k):
+    """Indices of the totals that numpy's sums leave to ``math.fsum``.
+
+    ``sums`` and ``magnitudes`` hold numpy's sums of k terms per total and of
+    their absolute values.  A total is settled when
+    ``|ŝ - 1| <= SUM_TOL - (k+1)·u·M``, M the largest of 1 and the
+    magnitudes (the bound in :func:`_check_cells`); a NaN total never is.
+    """
+    tol = SUM_TOL - (k + 1) * _U * max(1.0, *magnitudes.tolist())
+    return [i for i, total in enumerate(sums.tolist()) if not abs(total - 1.0) <= tol]
 
 
 def _check_cells(x, name, ndim, per_row=False):
@@ -74,18 +100,43 @@ def _check_cells(x, name, ndim, per_row=False):
     more negative, any entry above ``1 + SUM_TOL``, or a total (of each row
     when ``per_row``) off 1 by more than ``SUM_TOL`` raises ``ValueError``.
     Accepted inputs are returned as a fresh float array, never renormalized.
+
+    The verdict on a total is that of its exact sum ``s``: ``math.fsum``
+    rounds it once to ``fl(s)``, and the total passes when
+    ``|fl(s) - 1| <= SUM_TOL``.  numpy's sum ``ŝ`` settles most totals
+    without ``fsum``.  Summed in any order, k terms ``x_i`` give
+    ``|ŝ - s| <= γ·A``, with ``A = Σ|x_i|``, ``γ = (k-1)u/(1-(k-1)u)`` and
+    ``u = 2**-53`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §4.2).  numpy's ``Â`` of the ``|x_i|`` obeys the same
+    bound, so ``A <= Â/(1-γ)``.  Near 1, ``fl(s)`` lies within ``u`` of ``s``
+    and ``fl(s) - 1`` is exact (Sterbenz), so for any ``M >= max(Â, 1)``
+
+        |fl(s) - 1| <= |ŝ - 1| + γ/(1-γ)·Â + u <= |ŝ - 1| + (k + 1/2)·u·M,
+
+    because ``γ/(1-γ) <= (k - 1/2)·u`` while ``k(k-1) <= 2**50``, which holds
+    wherever the margin leaves room (``(k+1)u < SUM_TOL`` needs k < 9007).
+    A total with ``|ŝ - 1| <= SUM_TOL - (k+1)·u·M`` therefore passes the
+    exact test too: ``ŝ - 1`` is exact near 1, and the spare ``u·M/2``
+    dwarfs the rounding of the threshold (about ``u·SUM_TOL``).  Here every
+    entry is nonnegative, so ``Â = ŝ``, and M is the largest of 1 and the
+    row sums.  Every other total goes to ``fsum`` in row order, and only
+    ``fsum`` rejects, so verdict and message are those of summing every
+    total exactly.
     """
-    arr = _as_float_array(x, name)
+    arr, lo, hi = _as_float_array(x, name)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if np.any(arr < NEG_CLAMP):
-        raise ValueError(f"{name} has negative entries: min {arr.min()}")
-    arr[arr < 0.0] = 0.0
-    if np.any(arr > 1.0 + SUM_TOL):
-        raise ValueError(f"{name} has entries above 1: max {arr.max()}")
-    # fsum over Python floats: the same exact sums, without numpy scalars.
-    for i, cells in enumerate(arr.tolist() if per_row else [arr.ravel().tolist()]):
-        total = math.fsum(cells)
+    if lo < NEG_CLAMP:
+        raise ValueError(f"{name} has negative entries: min {lo}")
+    if lo < 0.0:
+        arr[arr < 0.0] = 0.0
+    if hi > 1.0 + SUM_TOL:
+        raise ValueError(f"{name} has entries above 1: max {hi}")
+    rows = arr if per_row else arr.reshape(1, -1)
+    sums = rows.sum(axis=1)
+    for i in _unsettled(sums, sums, rows.shape[1]):
+        # fsum over Python floats: the same exact sum, without numpy scalars.
+        total = math.fsum(rows[i].tolist())
         if abs(total - 1.0) > SUM_TOL:
             where = f" row {i}" if per_row else ""
             raise ValueError(f"{name}{where} sums to {total!r}, not 1")
@@ -131,8 +182,8 @@ def _check_pair(p, q):
 
 def normalize(p):
     """Explicitly rescale nonnegative weights to sum to 1."""
-    arr = _as_float_array(p, "weights")
-    if np.any(arr < 0.0):
+    arr, lo, _ = _as_float_array(p, "weights")
+    if lo < 0.0:
         raise ValueError("weights must be nonnegative")
     total = arr.sum()
     if total <= 0.0:

@@ -340,6 +340,12 @@ class TestRun:
             path = write_channel_file(tmp_path, name, {"matrix": rows})
             assert run(["--matrix", path]) == EXIT_BAD_MATRIX
             assert capsys.readouterr().err.startswith("error: ")
+        # An int literal beyond the float range reads as its float spelling 1e400.
+        for spelling in ("1" + "0" * 400, "1e400", "-" + "9" * 5000):
+            path = tmp_path / "huge_int.json"
+            path.write_text('{"matrix": [[%s, 0], [0.5, 0.5]]}' % spelling, encoding="utf-8")
+            assert run(["--matrix", str(path)]) == EXIT_BAD_MATRIX
+            assert capsys.readouterr().err == "error: matrix contains non-finite entries\n"
 
     def test_singular_with_explicit_muroga_exit(self, capsys):
         assert run(["--a", "0.3", "--c", "0.3", "--method", "muroga"]) == EXIT_BAD_MATRIX
@@ -356,6 +362,9 @@ class TestRun:
         path.write_text('{"matrix": [[1, 0], [0.5, 0.5]], "base": 1e309}', encoding="utf-8")
         assert run(["--matrix", str(path)]) == EXIT_BAD_FILE
         assert "log base" in capsys.readouterr().err
+        path.write_text('{"matrix": [[1, 0], [0.5, 0.5]], "base": 1%s}' % ("0" * 400), encoding="utf-8")
+        assert run(["--matrix", str(path)]) == EXIT_BAD_FILE
+        assert capsys.readouterr().err == "error: log base must be finite and > 1, got inf\n"
 
     def test_nonconvergence_still_reports(self, capsys):
         assert run(["--a", "0", "--c", "0.5", "--method", "blahut-arimoto", "--max-iter", "3"]) == EXIT_NO_CONVERGENCE

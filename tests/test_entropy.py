@@ -147,6 +147,12 @@ class TestCheckDistribution:
         with pytest.raises(ValueError):
             check_distribution([np.nan, 1.0])
 
+    def test_int_beyond_float_range_is_non_finite(self):
+        with pytest.raises(ValueError, match="distribution contains non-finite entries"):
+            check_distribution([10**400, 0])
+        with pytest.raises(ValueError, match="transition matrix contains non-finite entries"):
+            check_channel([[0, -(10**400)], [0.5, 0.5]])
+
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
             check_distribution([])
