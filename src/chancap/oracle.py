@@ -125,7 +125,7 @@ def _add_input(q, cand, j):
     return start / start.sum()
 
 
-def _newton_support(q, logq, p, base, tol, support=None):
+def _newton_support(q, logq, p, base, tol, support=None, batched=True):
     """Solve the KKT system on a support; a candidate input or None.
 
     Unknowns are p_S and C; the equations d_S(p) - C = 0 and sum(p_S) = 1.
@@ -135,9 +135,19 @@ def _newton_support(q, logq, p, base, tol, support=None):
     guessed from ``p``: the inputs with p_i >= SUPPORT_SHARE * max p, at most
     the m largest; the caller passes one to grow S by an input the
     certificate flagged (``_add_input``).  A step that makes some p_S
-    non-positive drops the most negative input and starts again from ``p``
-    on the smaller support; so S only shrinks here, and only the caller
-    adds.
+    non-positive shrinks S and starts again from ``p`` on what is left, so
+    S only shrinks here, and only the caller adds.
+
+    The drop rule.  An optimal input with zero mass has d_i <= C, and one
+    with positive mass has d_i = C.  So with ``batched`` a step that leaves
+    the simplex drops every input whose new mass is <= 0 and whose
+    divergence at the point the step was taken from lies below the
+    estimate, d_i - c < 0: it fails both tests at once.  The most negative
+    input is dropped as well, so every restart shrinks S, and a support
+    guessed with many spurious inputs is pruned in a few solves instead of
+    one per input.  Without ``batched`` only the most negative input goes.
+    A wrong drop costs speed only: the certificate still decides, and the
+    caller adds back the input with the largest divergence.
     """
     ln_base = math.log(base)
     if support is None:
@@ -146,8 +156,9 @@ def _newton_support(q, logq, p, base, tol, support=None):
     while support.size:
         k = support.size
         # Outputs no support input reaches add nothing to d_S or the Jacobian.
-        cols = q[support].any(axis=0)
-        qs, logqs = q[support][:, cols], logq[support][:, cols]
+        qs = q[support]
+        cols = qs.any(axis=0)
+        qs, logqs = qs[:, cols], logq[support][:, cols]
         ps = p[support] / p[support].sum()
         jac = np.zeros((k + 1, k + 1))
         jac[:k, k] = -1.0
@@ -179,7 +190,9 @@ def _newton_support(q, logq, p, base, tol, support=None):
             ps = ps + step[:k]
             c += float(step[k])
             if not ps.min() > 0.0:
-                support = np.delete(support, int(np.argmin(ps)))
+                drop = (ps <= 0.0) & (res < 0.0) if batched else np.zeros(k, dtype=bool)
+                drop[np.argmin(ps)] = True
+                support = support[~drop]
                 break
         else:
             return None
@@ -191,22 +204,33 @@ def _polish(q, logq, p, lower, base, tol):
 
     The two-sided active set of ``blahut_arimoto``: the first support is
     guessed from ``p``, Newton drops inputs, and the certificate adds the
-    input with the largest divergence, at most m times.
+    input with the largest divergence, at most m times per attempt.
+
+    The first attempt drops in batches (``_newton_support``).  Batched drops
+    after an add can throw out inputs that were just added, so if that
+    attempt ends without an accepted candidate a second one runs from the
+    same ``p`` with one drop per step.  The second attempt sees the same
+    inputs as a polish that only ever drops one input per step, so it accepts
+    whenever such a polish would: batching can make the loop settle earlier,
+    never later.
     """
-    start, support = p, None
-    for _ in range(q.shape[1] + 1):
-        with np.errstate(all="ignore"):  # a failed step is caught below, not warned
-            cand = _newton_support(q, logq, start, base, tol, support)
-        if cand is None:
-            return None
-        d, c_lower, c_upper = _bracket(q, logq, cand, base)
-        if c_upper - c_lower <= tol:
-            return (c_lower, cand) if c_lower >= lower else None
-        j = int(np.argmax(d))
-        if cand[j] > 0.0:
-            return None
-        start = _add_input(q, cand, j)
-        support = np.flatnonzero(start)
+    for batched in (True, False):
+        start, support = p, None
+        for _ in range(q.shape[1] + 1):
+            with np.errstate(all="ignore"):  # a failed step is caught below, not warned
+                cand = _newton_support(q, logq, start, base, tol, support, batched)
+            if cand is None:
+                break
+            d, c_lower, c_upper = _bracket(q, logq, cand, base)
+            if c_upper - c_lower <= tol:
+                if c_lower >= lower:
+                    return c_lower, cand
+                break
+            j = int(np.argmax(d))
+            if cand[j] > 0.0:
+                break
+            start = _add_input(q, cand, j)
+            support = np.flatnonzero(start)
     return None
 
 
@@ -229,9 +253,13 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     rank Q <= m.  At sweeps 4, 8, 16, ... (doubling, so failed attempts cost
     O(log sweeps) polishes) the loop runs a two-sided active set on
     d_S - C = 0, sum p_S = 1 (``_polish``).  The first support S is the
-    inputs with p_i >= SUPPORT_SHARE * max p, at most the m largest, and
-    Newton drops an input that a step drives out of the simplex
-    (``_newton_support``).  If the candidate's certificate is too wide and
+    inputs with p_i >= SUPPORT_SHARE * max p, at most the m largest.  When
+    a Newton step leaves the simplex, every input that fails both KKT
+    tests there (mass <= 0 and d_i below the estimate of C) is dropped at
+    once, and the most negative input always (``_newton_support``); if that
+    attempt finds no accepted candidate, it is rerun from the same p with
+    one drop per step, so batching never makes the loop settle later than
+    single drops would.  If the candidate's certificate is too wide and
     its largest divergence d_j sits at an input j outside S, j is added and
     Newton solves again from the candidate (``_add_input``); an attempt makes
     at most m additions and stops when the largest d_j is already in S.  The
