@@ -36,16 +36,18 @@ from .entropy import (
     normalize,
     xlogx_star,
 )
-from .linalg import SingularMatrixError, determinant, inverse, solve
 from .muroga import (
     INPUT_FEASIBILITY_TOL,
     MurogaSolution,
     SingularChannelError,
+    SingularMatrixError,
     capacity_from_aux,
     feasible_input,
+    inverse,
     muroga_capacity,
     optimal_input,
     optimal_output,
+    solve,
     solve_auxiliary,
 )
 from .oracle import (
@@ -84,7 +86,6 @@ __all__ = [
     "check_distribution",
     "check_joint",
     "conditional_entropy",
-    "determinant",
     "entropy",
     "feasible_input",
     "grid_search_binary",

@@ -13,6 +13,9 @@ recovered through the inverse may have negative entries, in which case the
 unconstrained stationary point lies outside the simplex and C is only an
 upper bound on the true capacity.  Callers should fall back to an iterative
 solver in that case.
+
+One LAPACK solve gives both x and F; the public ``solve`` and ``inverse``
+expose it, with its singularity rule, on any square matrix.
 """
 
 import math
@@ -22,14 +25,19 @@ import numpy as np
 
 from .channel import check_channel
 from .entropy import LogConfig, _DEFAULT, _log_b, xlogx_star
-from .linalg import SingularMatrixError, _solve_with_inverse, inverse, solve
 
 #: Raw inputs with entries no more negative than this count as feasible.
 INPUT_FEASIBILITY_TOL = 1e-12
+#: A reciprocal 1-norm condition number not >= RCOND_TOL means singular.
+RCOND_TOL = 1e-12
 
 
 class SingularChannelError(ValueError):
-    """The transition matrix is singular, so the explicit formula does not apply."""
+    """The matrix is singular or too ill-conditioned to trust a solve."""
+
+
+#: Alias of SingularChannelError, so ``except SingularMatrixError`` still catches it.
+SingularMatrixError = SingularChannelError
 
 
 @dataclass(frozen=True)
@@ -44,11 +52,57 @@ class MurogaSolution:
     inverse: np.ndarray  # F = Q^{-1}
 
 
+def _check_square(a):
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix contains non-finite entries")
+    return arr
+
+
 def _check_square_channel(q):
     q = check_channel(q)
     if q.shape[0] != q.shape[1]:
         raise ValueError(f"explicit formula needs a square channel, got shape {q.shape}")
     return q
+
+
+def _solve_with_inverse(a, rhs):
+    """Solve ``a @ x = rhs`` and invert ``a`` from one LAPACK factorization.
+
+    ``a`` is a checked square float matrix and ``rhs`` a float vector of its
+    order.  Returns ``(x, F)`` with ``F = a^{-1}``.  ``a`` is singular, and
+    SingularChannelError is raised, when LAPACK raises ``LinAlgError`` or when
+    ``rcond = 1 / (||a||_1 * ||F||_1)`` is not >= ``RCOND_TOL``; the "not >="
+    also rejects a NaN or overflowed ``F``.
+    """
+    n = a.shape[0]
+    try:
+        sol = np.linalg.solve(a, np.column_stack([rhs, np.eye(n)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularChannelError(str(exc)) from exc
+    f = sol[:, 1:]
+    with np.errstate(over="ignore"):
+        rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(f, 1))
+    if not rcond >= RCOND_TOL:
+        raise SingularChannelError(f"reciprocal condition number {rcond:g} below {RCOND_TOL:g}")
+    return sol[:, 0], f
+
+
+def solve(a, rhs):
+    """Solve ``a @ x = rhs`` for a square matrix; raises SingularChannelError if singular."""
+    a = _check_square(a)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (a.shape[0],):
+        raise ValueError(f"rhs shape {rhs.shape} does not match matrix of order {a.shape[0]}")
+    return _solve_with_inverse(a, rhs)[0]
+
+
+def inverse(a):
+    """Inverse of a square matrix; raises SingularChannelError if singular."""
+    a = _check_square(a)
+    return _solve_with_inverse(a, np.zeros(a.shape[0]))[1]
 
 
 def _exp_b(t, base):
@@ -66,10 +120,7 @@ def solve_auxiliary(q, cfg: LogConfig = None):
     """Solve Q x = h, h_i = sum_j q_ij log_b q_ij, for the auxiliary vector x."""
     cfg = _DEFAULT if cfg is None else cfg
     q = _check_square_channel(q)
-    try:
-        return solve(q, _row_terms(q, cfg))
-    except SingularMatrixError as exc:
-        raise SingularChannelError(str(exc)) from exc
+    return _solve_with_inverse(q, _row_terms(q, cfg))[0]
 
 
 def capacity_from_aux(aux, cfg: LogConfig = None):
@@ -97,10 +148,7 @@ def optimal_input(q, opt_output):
     r = np.asarray(opt_output, dtype=float)
     if r.shape != (q.shape[0],):
         raise ValueError(f"output distribution shape {r.shape} does not match channel {q.shape}")
-    try:
-        f = inverse(q)
-    except SingularMatrixError as exc:
-        raise SingularChannelError(str(exc)) from exc
+    f = _solve_with_inverse(q, np.zeros(q.shape[0]))[1]
     return f.T @ r
 
 
@@ -109,8 +157,8 @@ def feasible_input(opt_input_raw):
     p = np.asarray(opt_input_raw, dtype=float).copy()
     p[p < 0.0] = 0.0
     total = math.fsum(p)
-    if total <= 0.0:
-        raise ValueError("raw input has no positive mass to renormalize")
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(f"raw input has no finite positive mass to renormalize, total {total!r}")
     return p / total
 
 
@@ -118,10 +166,7 @@ def muroga_capacity(q, cfg: LogConfig = None) -> MurogaSolution:
     """Run the full explicit pipeline on a square invertible channel."""
     cfg = _DEFAULT if cfg is None else cfg
     q = _check_square_channel(q)
-    try:
-        aux, f = _solve_with_inverse(q, _row_terms(q, cfg))
-    except SingularMatrixError as exc:
-        raise SingularChannelError(str(exc)) from exc
+    aux, f = _solve_with_inverse(q, _row_terms(q, cfg))
     capacity = capacity_from_aux(aux, cfg)
     if -1e-12 < capacity < 0.0:  # roundoff on near-zero-capacity channels
         capacity = 0.0

@@ -25,6 +25,7 @@ from .entropy import LogConfig, _DEFAULT, _check_pair, _log_b, _log_pos, xlogx_s
 class OracleConfig:
     """Stopping and resolution knobs shared by the iterative solvers.
 
+    ``tolerance`` is a positive finite number, never a bool.
     ``max_iterations`` and ``grid_resolution`` are counts: a Python or numpy
     integer, never a bool or a float, even an integral one.
     """
@@ -34,6 +35,8 @@ class OracleConfig:
     grid_resolution: int = 10**6
 
     def __post_init__(self):
+        if isinstance(self.tolerance, (bool, np.bool_)):
+            raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         for name, least in (("max_iterations", 1), ("grid_resolution", 2)):

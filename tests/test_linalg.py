@@ -1,9 +1,19 @@
-"""Dense LU kernel: solve, inverse, determinant on small matrices."""
+"""Muroga's linear solve as the public ``solve`` and ``inverse``: LAPACK plus
+one singularity rule, shared with the explicit formula."""
 
 import numpy as np
 import pytest
 
-from chancap import SingularMatrixError, binary_channel, determinant, inverse, solve
+from chancap import (
+    SingularChannelError,
+    SingularMatrixError,
+    binary_channel,
+    inverse,
+    muroga_capacity,
+    optimal_input,
+    solve,
+    solve_auxiliary,
+)
 
 # LAPACK factors this without error, but its reciprocal condition number is
 # below RCOND_TOL, so solve and inverse must still call it singular.
@@ -87,47 +97,35 @@ class TestInverse:
         np.testing.assert_allclose(inverse(a) @ rhs, solve(a, rhs), atol=1e-9)
 
 
-class TestDeterminant:
-    def test_identity(self):
-        for n in (1, 2, 5):
-            assert determinant(np.eye(n)) == 1.0
-
-    def test_binary_channel_det_is_c_minus_a(self):
-        assert determinant(binary_channel(0.2, 0.7)) == pytest.approx(0.5, abs=1e-14)
-        rng = np.random.default_rng(35)
-        for _ in range(200):
-            a, c = rng.random(2)
-            assert determinant(binary_channel(a, c)) == pytest.approx(c - a, abs=1e-14)
-
-    def test_duplicated_row_is_zero(self):
-        m = np.array([[0.3, 0.7, 0.0], [0.3, 0.7, 0.0], [0.1, 0.2, 0.7]])
-        assert determinant(m) == pytest.approx(0.0, abs=1e-14)
-
-    def test_never_raises_on_singular(self):
-        assert determinant(np.zeros((2, 2))) == 0.0
-        assert determinant(ILL_CONDITIONED) == pytest.approx(1e-15, rel=0.2)
-
-    def test_row_swap_flips_sign(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert determinant(a) == -1.0
-
-    def test_matches_cofactor_3x3(self):
-        rng = np.random.default_rng(36)
-        m = rng.standard_normal((3, 3))
-        cof = (
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-        assert determinant(m) == pytest.approx(cof, rel=1e-12)
-
-
 class TestValidation:
     def test_non_square_rejected(self):
-        for fn in (inverse, determinant):
-            with pytest.raises(ValueError):
+        for fn in (inverse, lambda a: solve(a, np.ones(2))):
+            with pytest.raises(ValueError, match="square"):
                 fn(np.ones((2, 3)))
+            with pytest.raises(ValueError, match="square"):
+                fn(np.ones(2))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            determinant(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        for bad in (np.inf, -np.inf, np.nan):
+            a = np.array([[1.0, bad], [0.0, 1.0]])
+            for fn in (inverse, lambda a: solve(a, np.ones(2))):
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(a)
+
+
+def test_one_singular_error_from_every_entry_point():
+    """A channel LAPACK factors, but with rcond_1 far below 1e-12."""
+    assert SingularMatrixError is SingularChannelError
+    q = np.array([[1.0, 0.0], [1.0 - 1e-15, 1e-15]])
+    r = np.array([0.5, 0.5])
+    calls = (
+        lambda: solve_auxiliary(q),
+        lambda: optimal_input(q, r),
+        lambda: muroga_capacity(q),
+        lambda: solve(q, r),
+        lambda: inverse(q),
+    )
+    for call in calls:
+        with pytest.raises(SingularChannelError) as info:
+            call()
+        assert str(info.value) == "reciprocal condition number 5e-16 below 1e-12"

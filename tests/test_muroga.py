@@ -154,6 +154,11 @@ class TestOptimalDistributions:
         assert p[1] == 0.0
         assert math.fsum(p) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("raw", [[np.nan, 1.0], [np.inf, 1.0], [0.0, -1e-13]])
+    def test_feasible_input_rejects_non_finite_or_empty_mass(self, raw):
+        with pytest.raises(ValueError, match="finite positive mass"):
+            feasible_input(np.array(raw))
+
 
 class TestMurogaCapacity:
     def test_identity_three(self):

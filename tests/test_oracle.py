@@ -33,6 +33,9 @@ class TestOracleConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(tolerance=0.0)
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="tolerance must be a number"):
+                OracleConfig(tolerance=flag)
         with pytest.raises(ValueError):
             OracleConfig(max_iterations=0)
         with pytest.raises(ValueError):
