@@ -1,8 +1,8 @@
 """Shannon capacity of discrete memoryless channels.
 
-Closed forms for binary channels, the explicit solution for square
-invertible transition matrices, and independent iterative oracles
-(alternating maximization and grid search) for everything else.
+Closed forms for binary channels, Muroga's explicit solution for square
+invertible channels (and its system on an active set for any shape), and
+certified iterative oracles (alternating maximization, grid search).
 """
 
 from .binary import (

@@ -8,10 +8,25 @@ import math
 import numpy as np
 
 from .binary import _check_binary
-from .entropy import LogConfig, _check_pair, _log_pos, check_channel  # check_channel: re-export
+from .entropy import LogConfig, _check_pair, _log_b, _log_pos, check_channel  # check_channel: re-export
 
 #: Output columns with mass below this are excluded from the gradient sum.
 GRADIENT_OUTPUT_FLOOR = 1e-300
+
+
+def _divergences(q, logq, r, base):
+    # d_i = sum_j q_ij (log_b q_ij - log_b r_j).  Entries with q_ij = 0 have
+    # logq = 0 there and the floor keeps logr finite, so the product is an
+    # exact 0 and no explicit mask is needed.
+    logr = _log_b(np.maximum(r, GRADIENT_OUTPUT_FLOOR), base)
+    return (q * (logq - logr[np.newaxis, :])).sum(axis=1)
+
+
+def _bracket(q, logq, p, base):
+    # (d, lower, upper) of p: the one certificate, shared by capacity_bounds,
+    # every BA sweep and the active set's acceptance test.
+    d = _divergences(q, logq, p @ q, base)
+    return d, float(p @ d), float(d.max())
 
 _DEFAULT = LogConfig()
 
@@ -76,12 +91,22 @@ def mi_gradient(p, q, cfg: LogConfig = None):
     return np.array([math.fsum(row) - const for row in bracket])
 
 
-def relabel_inputs(p, q, perm):
-    """Apply one relabeling of input symbols to (p, Q): permute both together."""
+def _check_perm(perm, n):
+    # A repeated, missing or boolean index would duplicate or drop symbols.
     perm = np.asarray(perm)
-    return np.asarray(p, dtype=float)[perm], np.asarray(q, dtype=float)[perm, :]
+    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError(f"perm must be a permutation of range({n}), got {perm.tolist()}")
+    return perm
+
+
+def relabel_inputs(p, q, perm):
+    """Permute the input symbols of (p, Q) together; ``perm`` orders Q's rows."""
+    q = np.asarray(q, dtype=float)
+    perm = _check_perm(perm, q.shape[0])
+    return np.asarray(p, dtype=float)[perm], q[perm, :]
 
 
 def relabel_outputs(q, perm):
-    """Apply one relabeling of output symbols to Q: permute its columns."""
-    return np.asarray(q, dtype=float)[:, np.asarray(perm)]
+    """Permute the output symbols of Q; ``perm`` orders its columns."""
+    q = np.asarray(q, dtype=float)
+    return q[:, _check_perm(perm, q.shape[1])]

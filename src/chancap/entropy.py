@@ -194,12 +194,12 @@ def normalize(p):
 def log_star(x, cfg: LogConfig = None):
     """Starred logarithm: ``log_b(x)`` for ``x > 0``, ``w`` at ``x = 0``.
 
-    Accepts a scalar or an array; negative input raises ``ValueError``.
+    Accepts a scalar or an array; negative or NaN input raises ``ValueError``.
     """
     cfg = cfg or _DEFAULT
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("log_star is undefined for negative values")
+    if not np.all(arr >= 0.0):
+        raise ValueError("log_star is undefined for negative or NaN values")
     out = np.where(arr > 0.0, _log_pos(arr, cfg.base), cfg.star_value)
     return float(out) if arr.ndim == 0 else out
 

@@ -191,3 +191,11 @@ class TestRelabeling:
         assert channel_mutual_information(p, q) == pytest.approx(
             channel_mutual_information(p, q2), abs=1e-15
         )
+
+    @pytest.mark.parametrize("perm", [[0, 0], [1], [0, 2]])
+    def test_rejects_non_permutation(self, perm):
+        q = np.array([[0.2, 0.8], [0.7, 0.3]])
+        with pytest.raises(ValueError, match="permutation"):
+            relabel_inputs([0.3, 0.7], q, perm)
+        with pytest.raises(ValueError, match="permutation"):
+            relabel_outputs(q, perm)

@@ -82,6 +82,12 @@ class TestLogStar:
         with pytest.raises(ValueError):
             log_star(-0.1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            log_star(float("nan"))
+        with pytest.raises(ValueError):
+            log_star(np.array([1.0, np.nan]))
+
     def test_array_input(self):
         out = log_star(np.array([1.0, 2.0, 0.0]), LogConfig(star_value=-50.0))
         np.testing.assert_array_equal(out, [0.0, 1.0, -50.0])

@@ -12,6 +12,7 @@ from chancap import (
     binary_aux,
     binary_channel,
     blahut_arimoto,
+    capacity_bounds,
     capacity_from_aux,
     channel_mutual_information,
     feasible_input,
@@ -24,6 +25,8 @@ from chancap import (
     solve_auxiliary,
     xlogx_star,
 )
+from chancap.entropy import _log_pos
+from chancap.muroga import _active_set
 
 # A channel whose middle input is a noisy blend of the outer two: the
 # unconstrained stationary input has a negative middle entry, so the
@@ -49,6 +52,22 @@ def _random_invertible_channels(seed, count, sizes=(2, 3, 4, 5, 6)):
         except SingularChannelError:
             continue
         out.append(q)
+    return out
+
+
+def _infeasible_square_channels(seed, count):
+    """Random square channels, n = 3..8, whose raw Muroga input leaves the simplex."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(3, 9))
+        q = rng.dirichlet(np.ones(n), size=n)
+        try:
+            feasible = muroga_capacity(q).feasible
+        except SingularChannelError:
+            continue
+        if not feasible:
+            out.append(q)
     return out
 
 
@@ -260,3 +279,27 @@ class TestMurogaCapacity:
         for q in _random_invertible_channels(50, 20):
             sol = muroga_capacity(q)
             assert sol.capacity == pytest.approx(capacity_from_aux(sol.aux), abs=1e-12)
+
+
+class TestActiveSet:
+    """Muroga's system on an active set answers with a certified input or not at all."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-300])
+    def test_answer_is_certified_or_none(self, tol):
+        answered = 0
+        for q in [INFEASIBLE_3X3, *_infeasible_square_channels(2024, 50)]:
+            n = q.shape[0]
+            capacity = blahut_arimoto(q).capacity
+            starts = (np.full(n, 1.0 / n), feasible_input(muroga_capacity(q).opt_input_raw))
+            for start in starts:
+                got = _active_set(q, _log_pos(q, 2.0), start, 2.0, tol)
+                if got is None:
+                    continue
+                answered += 1
+                lower, p = got
+                bounds = capacity_bounds(p, q)
+                assert lower == bounds[0]
+                assert bounds[1] - bounds[0] <= tol
+                assert lower == pytest.approx(capacity, abs=1e-12)
+        if tol == 1e-9:
+            assert answered == 2 * 51
