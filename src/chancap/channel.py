@@ -101,9 +101,11 @@ def _check_perm(perm, n):
 
 def relabel_inputs(p, q, perm):
     """Permute the input symbols of (p, Q) together; ``perm`` orders Q's rows."""
-    q = np.asarray(q, dtype=float)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.shape != q.shape[:1]:
+        raise ValueError(f"input shape {p.shape} does not match {q.shape[0]} channel rows")
     perm = _check_perm(perm, q.shape[0])
-    return np.asarray(p, dtype=float)[perm], q[perm, :]
+    return p[perm], q[perm, :]
 
 
 def relabel_outputs(q, perm):

@@ -18,8 +18,10 @@ One LAPACK solve gives both x and F; the public ``solve`` and ``inverse``
 expose it, with its singularity rule, on any square matrix.
 
 For Q of any shape, ``_active_set`` solves the same system on a support S
-that grows and shrinks, d_S = C and sum p_S = 1, by Newton's method, and
-returns an input only with a certified bracket.
+that grows and shrinks, d_S = C and sum p_S = 1, and returns an input only
+with a certified bracket.  When S and the outputs it reaches form a square
+block, the explicit formula above solves it; Newton's method solves the
+other supports and those the formula's answer does not settle.
 """
 
 import math
@@ -226,18 +228,58 @@ def _add_input(q, cand, j):
     return start / start.sum()
 
 
+def _muroga_block(qs, logqs, base):
+    """Muroga's formula on a square block: ``(p_S, C)``, or None.
+
+    ``qs`` is a support's rows restricted to the outputs they reach, and
+    ``logqs`` its masked log_b.  x solves Q_S x = h_S, then
+    C = log_b sum_j b**x_j, r = b**(x - C) and p_S solves Q_S^T p_S = r:
+    the one solution of d_S = C, sum p_S = 1, with p_S possibly outside the
+    simplex.  Two solves, not ``muroga_capacity``'s one solve with inverse:
+    they cost the same up to order 16 and a third less at 64 (measured).
+    None when LAPACK finds the block singular or p_S is not finite (C is
+    finite whenever x is, and p_S is not whenever x is not).  There is no
+    condition-number rule: the residual test and the certificate judge.
+    """
+    try:
+        x = np.linalg.solve(qs, (qs * logqs).sum(axis=1))
+        top = x.max()
+        w = _exp_b(x - top, base)
+        total = w.sum()
+        ps = np.linalg.solve(qs.T, w / total)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(ps).all():
+        return None
+    return ps, float(top + _log_b(total, base))
+
+
 def _newton_support(q, logq, p, base, tol, support=None):
     """Solve Muroga's system on a support; a candidate input or None.
 
     Unknowns are p_S and C; the equations d_S(p) - C = 0 and sum(p_S) = 1.
-    Since dd_i/dp_l = -sum_j q_ij q_lj / (r_j ln b), the Jacobian is
-    -Q_S diag(1/r) Q_S^T / ln b bordered by a column of -1 and a row of 1.
-    Newton starts from ``p`` restricted to S.  Without ``support``, S is
-    guessed from ``p``: the inputs with p_i >= SUPPORT_SHARE * max p, at most
-    the m largest; the caller passes one to grow S by an input the
-    certificate flagged (``_add_input``).  A step that makes some p_S
-    non-positive shrinks S and starts again from ``p`` on what is left, so
-    S only shrinks here, and only the caller adds.
+    Without ``support``, S is guessed from ``p``: the inputs with
+    p_i >= SUPPORT_SHARE * max p, at most the m largest; the caller passes
+    one to grow S by an input the certificate flagged (``_add_input``).  A
+    step that makes some p_S non-positive shrinks S and starts again from
+    ``p`` on what is left, so S only shrinks here, and only the caller adds.
+
+    Square supports.  When Q_S, restricted to the outputs S reaches, is
+    square, the system has Muroga's explicit solution (``_muroga_block``),
+    which the Newton iterates would converge to.  Inside the simplex it is
+    the iterate Newton goes on from, returned at once if its residual
+    passes: on a 2x2 channel one explicit solution replaces two or three
+    Newton steps.  Outside the simplex, on a passed support, the most
+    negative input drops, as after a Newton step.  On a guessed support it
+    is ignored and Newton runs from ``p`` as on any other support: the
+    exact solution can lie far from ``p``, and batch drops read from it
+    threw out optimal inputs (one of 6000 random tall channels then settled
+    at sweep 16 instead of 4).  A singular block also leaves S to Newton.
+
+    Newton.  Since dd_i/dp_l = -sum_j q_ij q_lj / (r_j ln b), the Jacobian
+    is -Q_S diag(1/r) Q_S^T / ln b bordered by a column of -1 and a row of
+    1.  Newton starts from ``p`` restricted to S, or from the explicit
+    solution, and an iterate is returned once max |d_S - C| <= tol / 4.
 
     The drop rule.  An optimal input with zero mass has d_i <= C, and one
     with positive mass has d_i = C.  A step that leaves the simplex drops
@@ -260,12 +302,18 @@ def _newton_support(q, logq, p, base, tol, support=None):
         qs = q[support]
         cols = qs.any(axis=0)
         qs, logqs = qs[:, cols], logq[support][:, cols]
-        ps = p[support] / p[support].sum()
+        exact = _muroga_block(qs, logqs, base) if k == qs.shape[1] else None
+        if exact is not None and exact[0].min() > 0.0:
+            ps, c = exact
+        elif exact is not None and not guessed:
+            support = np.delete(support, np.argmin(exact[0]))
+            continue
+        else:
+            ps, c = p[support] / p[support].sum(), None
         jac = np.zeros((k + 1, k + 1))
         jac[:k, k] = -1.0
         jac[k, :k] = 1.0
         rhs = np.empty(k + 1)
-        c = None
         for _ in range(NEWTON_STEPS):
             r = ps @ qs
             d = _divergences(qs, logqs, r, base)
@@ -304,12 +352,13 @@ def _active_set(q, logq, p, base, tol):
     """Muroga's system on an active set: a certified ``(lower, input)`` or None.
 
     ``q`` is a checked channel of any shape, ``logq`` its masked log_b and
-    ``p`` the start.  Newton drops inputs from the support guessed from
-    ``p`` (``_newton_support``); while a candidate's bracket is wider than
-    ``tol``, the input with the largest divergence joins (``_add_input``),
-    at most m times, unless it is already in the support.  ``lower`` is the
-    lower bound of the accepted candidate's bracket, computed as
-    ``capacity_bounds`` computes it.
+    ``p`` the start.  ``_newton_support`` solves the system on the support
+    guessed from ``p``, explicitly on a square block and by Newton
+    otherwise, dropping inputs as it goes; while a candidate's bracket is
+    wider than ``tol``, the input with the largest divergence joins
+    (``_add_input``), at most m times, unless it is already in the
+    support.  ``lower`` is the lower bound of the accepted candidate's
+    bracket, computed as ``capacity_bounds`` computes it.
     """
     start, support = p, None
     for _ in range(q.shape[1] + 1):

@@ -74,7 +74,7 @@ def capacity_bounds(p, q, cfg: LogConfig = None):
 
 
 def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAResult:
-    """Alternating maximization from the uniform input, with a certified Newton polish.
+    """Alternating maximization from the uniform input, with a certified Muroga polish.
 
     Each sweep computes d_i = sum_j q_ij (log_b q_ij - log_b r_j) against the
     current output distribution r = p Q, and with it the certificate of p:
@@ -92,11 +92,15 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     rank Q <= m.  At sweeps 4, 8, 16, ... (doubling, so failed attempts cost
     O(log sweeps) solves) the loop hands p to ``muroga._active_set``, which
     solves d_S - C = 0, sum p_S = 1 on a support S of at most m inputs
-    guessed from p and pruned by Newton in batches, then adds the inputs
-    the certificate flags, dropping one input per step after an add.  A
-    batch can discard an optimal input that an add must bring back: on 6000
-    random tall channels (128x8 and 96x6) all but five settle at sweep 4,
-    and none later than sweep 16.
+    guessed from p: by Muroga's explicit formula when S and the outputs it
+    reaches form a square block whose solution lies in the simplex, and by
+    Newton otherwise, which prunes the guess in batches.  It then adds the
+    inputs the certificate flags, dropping one input per step after an add.
+    A batch can discard an optimal input that an add must bring back: on
+    6000 random tall channels (128x8 and 96x6, 24 028 sweeps in all) all
+    but five settle at sweep 4, and none later than sweep 16, the same five
+    as with Newton alone.  Of 2000 random binary channels (|c - a| > 1e-3),
+    each that reaches sweep 4 settles there with one explicit solution.
 
     Acceptance rule.  Each candidate is accepted only if its own
     certificate, computed exactly as ``capacity_bounds`` computes it, has

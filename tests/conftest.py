@@ -1,5 +1,8 @@
 import sys
 
+import numpy as np
+import pytest
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance verdict lines after the run.
@@ -15,3 +18,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in verdicts:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Orders of the linear systems ``np.linalg.solve`` is given: one per
+    Newton step, two per explicit solution of a square support."""
+    orders = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        orders.append(a.shape[0])
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return orders

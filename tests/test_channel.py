@@ -199,3 +199,10 @@ class TestRelabeling:
             relabel_inputs([0.3, 0.7], q, perm)
         with pytest.raises(ValueError, match="permutation"):
             relabel_outputs(q, perm)
+
+    @pytest.mark.parametrize("p", [[0.5, 0.3, 0.2], [1.0]])
+    def test_rejects_input_of_wrong_length(self, p):
+        """A longer p came back truncated, no longer a distribution; a
+        shorter one raised IndexError."""
+        with pytest.raises(ValueError, match="channel rows"):
+            relabel_inputs(p, [[0.9, 0.1], [0.2, 0.8]], [1, 0])

@@ -19,8 +19,8 @@ from chancap import (
     grid_search_binary,
 )
 from chancap.channel import check_channel
-from chancap.entropy import _DEFAULT, xlogx_star
-from chancap.muroga import SUPPORT_SHARE, _add_input
+from chancap.entropy import _DEFAULT, _log_pos, xlogx_star
+from chancap.muroga import SUPPORT_SHARE, _add_input, _muroga_block
 from chancap.oracle import _DEFAULT_ORACLE, GridResult
 
 
@@ -135,6 +135,25 @@ STALLING = {
 }
 
 
+def _square_feasible_channels():
+    """Binary channels with |c - a| > 1e-3 and near-identity channels,
+    n = 3..8, whose optimal input has full support."""
+    rng = np.random.default_rng(12)
+    out = []
+    while len(out) < 20:
+        a, c = rng.random(2)
+        if abs(c - a) > 1e-3:
+            out.append(binary_channel(a, c))
+    for n in range(3, 9):
+        for _ in range(3):
+            eps = 0.3 * rng.random()
+            out.append((1.0 - eps) * np.eye(n) + eps * rng.dirichlet(np.ones(n), size=n))
+    return out
+
+
+SQUARE_FEASIBLE = _square_feasible_channels()
+
+
 @st.composite
 def channels(draw):
     """Up to 12 outputs and 3 times as many inputs (tall shapes make the
@@ -196,19 +215,6 @@ class TestNewtonPolish:
         expected[5] = SUPPORT_SHARE * 0.5
         np.testing.assert_array_equal(start, expected / expected.sum())
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """Orders of the linear systems ``np.linalg.solve`` is given, one per Newton step."""
-        orders = []
-        real_solve = np.linalg.solve
-
-        def counting_solve(a, b):
-            orders.append(a.shape[0])
-            return real_solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        return orders
-
     def test_flat_channel_prunes_in_few_solves(self, solves):
         """The first support guess on a flat 64x64 channel holds about 50
         inputs that are not optimal; dropping every input that fails both
@@ -219,6 +225,40 @@ class TestNewtonPolish:
         assert res.converged
         assert res.iterations == 4
         assert len(solves) <= 12
+
+    def test_square_support_is_solved_explicitly(self, solves):
+        """On a square support Muroga's explicit solution, two solves and one
+        residual check, stands in for the Newton steps; Newton alone took
+        three steps, each with its own divergences, on 10 of these 38."""
+        for i, q in enumerate(SQUARE_FEASIBLE):
+            solves.clear()
+            res = blahut_arimoto(q)
+            assert res.converged and res.iterations == 4, i
+            assert len(solves) <= 2, (i, solves)
+            lower, upper = capacity_bounds(res.input_dist, q)
+            assert res.capacity == lower
+            assert upper - lower <= OracleConfig().tolerance
+
+    def test_singular_square_support_falls_back_to_newton(self):
+        """Two equal rows make the guessed support's block exactly singular;
+        Newton still solves on it, to the capacity it reached before the
+        explicit solution existed."""
+        q = np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
+        logq = _log_pos(q, 2.0)
+        assert _muroga_block(q, logq, 2.0) is None
+        res = blahut_arimoto(q)
+        assert res.converged
+        lower, upper = capacity_bounds(res.input_dist, q)
+        assert res.capacity == lower
+        assert upper - lower <= OracleConfig().tolerance
+        assert res.capacity == pytest.approx(0.4184740408560409, abs=1e-12)
+
+    @pytest.mark.parametrize("base", [math.e, 10.0])
+    def test_square_support_answer_is_base_free(self, base):
+        for i, q in enumerate(SQUARE_FEASIBLE):
+            bits = blahut_arimoto(q).capacity
+            got = blahut_arimoto(q, LogConfig(base=base)).capacity
+            assert got == pytest.approx(bits * math.log(2.0) / math.log(base), abs=1e-12), i
 
     @pytest.mark.parametrize("n, m, seed", [(128, 8, 2760), (128, 8, 1595), (96, 6, 1534)])
     def test_batched_drops_never_settle_later(self, n, m, seed, solves):
