@@ -48,9 +48,13 @@ print("BSC(0.1) capacity:", binary_capacity(a, c), " (1 - H2 =", 1.0 - h2, ")")
 print("BSC(0.1) input   :", binary_optimal_input(a, c))
 
 # When both rows agree (a == c) the output ignores the input and the
-# capacity is exactly zero.
+# capacity is exactly zero.  Close to that line the formula stays exact: the
+# best input tends to (1/2, 1/2) and the capacity to zero like (c - a)^2.
 print()
 print("degenerate a=c=0.3:", binary_capacity(0.3, 0.3))
+a, c = 0.3, 0.3 + 1e-9
+print("a=0.3, c=0.3+1e-9 capacity:", binary_capacity(a, c))
+print("a=0.3, c=0.3+1e-9 input   :", binary_optimal_input(a, c).tolist())
 
 # Sweep the unit square.  Capacity vanishes on the diagonal a == c and
 # peaks at 1 bit in the noiseless corners.
@@ -69,9 +73,7 @@ rng = np.random.default_rng(7)
 lo, hi = 1.0, 0.0
 for _ in range(2000):
     aa, cc = np.sort(rng.uniform(0.0, 1.0, 2))
-    if cc - aa < 1e-6:
-        continue
-    p1, _ = binary_optimal_input(min(aa, cc), max(aa, cc))
+    p1, _ = binary_optimal_input(aa, cc)
     lo, hi = min(lo, p1), max(hi, p1)
 print()
 print(f"optimal p1 range over 2000 random channels: [{lo:.6f}, {hi:.6f}]")

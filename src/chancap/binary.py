@@ -1,13 +1,13 @@
 """Closed-form capacity of the general binary channel.
 
 The channel is Q = ((1-a, a), (1-c, c)): ``a`` and ``c`` are the
-probabilities that inputs 1 and 2 produce output 2.  Whenever a != c the
-matrix is invertible and the auxiliary vector, capacity and both optimal
-distributions have explicit algebraic forms.  Every logarithm below appears
-with its own argument as a factor of the coefficient, so the x log x
-convention (zero at zero) keeps the formulas valid on the boundary of the
-parameter square, including the Z-channel a = 0 and the noiseless a = 0,
-c = 1 corner.
+probabilities that inputs 1 and 2 produce output 2.  Its capacity is one
+expression in a and c: with natural logs and u = c - a, the optimal output
+r2 has log-odds logit(a) + KL(c || a) / u, the optimal input is
+p2 = (r2 - a) / u, and C = KL(a || r2), on the whole closed square (a == c
+gives C = 0 at p = (1/2, 1/2), the limit).  ``_closed_form`` evaluates it
+with no cancelling difference, writing each divergence as
+KL(q + d || q) = d (chi(d/q) - chi(-d/(1-q))), two terms of one sign.
 """
 
 import math
@@ -16,12 +16,12 @@ import numpy as np
 
 from .entropy import LogConfig, _DEFAULT
 
-#: |c - a| at or below this is treated as a degenerate (zero capacity) channel.
+#: ``binary_aux`` raises for |c - a| at or below this; nothing else uses it.
 DEGENERATE_TOL = 1e-12
 
 
 class DegenerateChannelError(ValueError):
-    """Both rows coincide, so the closed form's 1/(c - a) factor blows up."""
+    """Both rows coincide, so the auxiliary pair's 1/(c - a) factor blows up."""
 
 
 def _check_binary(a, c):
@@ -30,13 +30,6 @@ def _check_binary(a, c):
     for name, value in (("a", a), ("c", c)):
         if not math.isfinite(value) or not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return a, c
-
-
-def _check_nondegenerate(a, c):
-    a, c = _check_binary(a, c)
-    if abs(c - a) <= DEGENERATE_TOL:
-        raise DegenerateChannelError(f"rows coincide: a={a!r}, c={c!r}")
     return a, c
 
 
@@ -49,8 +42,11 @@ def _wlog2(w, x):
 
 
 def binary_aux(a, c):
-    """Auxiliary pair (x1, x2) in bits for the binary channel, a != c."""
-    return _aux(*_check_nondegenerate(a, c))
+    """Muroga's auxiliary pair (x1, x2) in bits, which divides by c - a."""
+    a, c = _check_binary(a, c)
+    if abs(c - a) <= DEGENERATE_TOL:
+        raise DegenerateChannelError(f"rows coincide: a={a!r}, c={c!r}")
+    return _aux(a, c)
 
 
 def _aux(a, c):
@@ -63,60 +59,71 @@ def _aux(a, c):
     return x1, x2
 
 
-def _shifted_weights(x1, x2):
-    # 2**x1, 2**x2 up to a common positive factor; safe for huge |x|.
-    m = max(x1, x2)
-    return 2.0 ** (x1 - m), 2.0 ** (x2 - m)
+def _rate(t):
+    """chi(t) = phi(t) / t, where phi(t) = (1 + t) log1p(t) - t and t >= -1.
+
+    Near 0 the direct form cancels; there log1p(t) = 2 atanh(s), s = t / (2 + t),
+    gives chi = s + s^2 (1 + s) B(s^2) with B(z) = sum_{j >= 1} z^(j-1) / (2j + 1).
+    """
+    if -1.0 / 3.0 <= t <= 0.5:  # |s| <= 1/5: the terms after z^10 / 23 are below 1e-18
+        s = t / (2.0 + t)
+        z = s * s
+        b = 1 / 3 + z * (1 / 5 + z * (1 / 7 + z * (1 / 9 + z * (1 / 11 + z * (1 / 13 + z * (
+            1 / 15 + z * (1 / 17 + z * (1 / 19 + z * (1 / 21 + z / 23)))))))))
+        return s + z * (1.0 + s) * b
+    if t == -1.0:  # the limit; log1p(-1) is undefined
+        return -1.0
+    return math.log1p(t) * (1.0 + 1.0 / t) - 1.0
+
+
+def _closed_form(a, c):
+    """(C in nats, (p1, p2), (r1, r2)) for checked a, c anywhere in [0, 1]."""
+    if min(c, 1.0 - c) > min(a, 1.0 - a):  # anchor at the more interior row
+        cap, (p1, p2), r = _closed_form(c, a)
+        return cap, (p2, p1), r
+    if a == c:
+        return 0.0, (0.5, 0.5), (1.0 - a, a)
+    if a == 0.0 or a == 1.0:  # then c = 1 - a: a noiseless corner
+        return math.log(2.0), (0.5, 0.5), (0.5, 0.5)
+    # Swapping the outputs maps (a, 1 - a, u) to (1 - a, a, -u) and keeps p,
+    # so take u > 0: x is the anchor's mass on the output that c favours.
+    swapped = c < a
+    x, xb, u = (1.0 - a, a, a - c) if swapped else (a, 1.0 - a, c - a)
+    t = u / x  # inf only for a subnormal x, where chi(t) = log t - 1
+    rate = (_rate(t) if t < math.inf else math.log(u) - math.log(x) - 1.0) - _rate(-u / xb)
+    m = -math.expm1(-rate)  # rate = KL(c || a) / u; with E = e^rate - 1, m = E / (1 + E)
+    # The normalizer 1 + xE = x (1 + rho) in logs: for a subnormal x, e^rate overflows
+    # and e^-rate is subnormal.
+    log_x = math.log(x)
+    rho = math.exp(math.log(xb) - log_x - rate)
+    r_x = 1.0 / (1.0 + rho)
+    p2 = xb / u * m / (1.0 + rho)
+    # C = KL(x || r_x), where r_x - x = u p2 and the ratio in the second term is xE.
+    cap = u * p2 * (_rate(m * math.exp(log_x + rate)) - _rate(-xb * m))
+    return cap, (1.0 - p2, p2), ((r_x, rho * r_x) if swapped else (rho * r_x, r_x))
 
 
 def binary_capacity(a, c, cfg: LogConfig = None):
-    """Capacity of ((1-a, a), (1-c, c)) in units of log base ``cfg.base``.
-
-    Degenerate channels (identical rows up to DEGENERATE_TOL) carry no
-    information and return exactly 0.0.
-    """
+    """Capacity of ((1-a, a), (1-c, c)) in units of log base ``cfg.base``; 0.0 if a == c."""
     cfg = _DEFAULT if cfg is None else cfg
-    a, c = _check_binary(a, c)
-    if abs(c - a) <= DEGENERATE_TOL:
-        return 0.0
-    x1, x2 = _aux(a, c)
-    m = max(x1, x2)
-    bits = m + math.log2(2.0 ** (x1 - m) + 2.0 ** (x2 - m))
-    if bits < 0.0:  # roundoff below the true value 0 at near-degenerate corners
-        bits = 0.0
-    if cfg.base == 2.0:
-        return bits
-    return bits / math.log2(cfg.base)
+    return _closed_form(*_check_binary(a, c))[0] / math.log(cfg.base)
 
 
 def binary_optimal_output(a, c, cfg: LogConfig = None):
-    """Capacity-achieving output distribution (r1, r2).
+    """Capacity-achieving output distribution (r1, r2); (1 - a, a) when a == c.
 
     ``cfg`` only fixes units elsewhere; the maximizing distribution itself
     does not depend on the log base, so it is accepted and ignored.
     """
-    a, c = _check_nondegenerate(a, c)
-    w1, w2 = _shifted_weights(*_aux(a, c))
-    s = w1 + w2
-    return np.array([w1 / s, w2 / s])
+    return np.array(_closed_form(*_check_binary(a, c))[2])
 
 
 def binary_optimal_input(a, c, cfg: LogConfig = None):
-    """Capacity-achieving input distribution (p1, p2).
+    """Capacity-achieving input distribution (p1, p2); (1/2, 1/2) when a == c.
 
     Base independent (``cfg`` accepted for symmetry with binary_capacity).
-    For 0 < a < c < 1 both entries provably lie in [1/e, 1 - 1/e], so in
-    exact arithmetic the closed form is always feasible there.  In floating
-    point it is not: the formula divides a cancelling difference by c - a,
-    and from about |c - a| <~ 1e-7 down the computed entries drift from 1/2
-    and can leave [0, 1] (``binary_optimal_input(0.3, 0.3 + 1e-9)`` returns
-    about [-25.8, 26.8]).  The CLI report's certificate shows such an input
-    as ``feasible: false``, and ``auto`` falls back to Blahut-Arimoto on it.
-    A stable formula is ROADMAP open item 1.
+    For 0 < a, c < 1 both entries provably lie in [1/e, 1 - 1/e], and the
+    computed ones do too, to rounding, for every |c - a| > 0: nothing
+    cancelling is divided by c - a.
     """
-    a, c = _check_nondegenerate(a, c)
-    w1, w2 = _shifted_weights(*_aux(a, c))
-    s = (c - a) * (w1 + w2)
-    p1 = (c * w1 - (1.0 - c) * w2) / s
-    p2 = (-a * w1 + (1.0 - a) * w2) / s
-    return np.array([p1, p2])
+    return np.array(_closed_form(*_check_binary(a, c))[1])

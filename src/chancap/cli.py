@@ -20,12 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .binary import (
-    DEGENERATE_TOL,
-    binary_capacity,
-    binary_optimal_input,
-    binary_optimal_output,
-)
+from .binary import binary_capacity, binary_optimal_input, binary_optimal_output
 from .channel import binary_channel, check_channel
 from .entropy import SUM_TOL, LogConfig, _as_float_array, _unsettled
 from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, feasible_input, muroga_capacity
@@ -238,21 +233,18 @@ def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallbac
 
 
 def _explicit_answer(q, closed_form, cfg):
-    """(method, capacity, raw input, output or None, diagnostics) of an explicit solver.
+    """(method, capacity, raw input, output, diagnostics) of an explicit solver.
 
-    Silverman's binary closed form is Muroga's method carried out at n = 2;
-    its diagnostic ``det = c - a`` is the quantity DEGENERATE_TOL judges.
+    The binary closed form is one expression in (a, c), defined on the whole
+    square: a singular 2x2 channel, a == c, has capacity 0 at the input
+    (1/2, 1/2).  Its diagnostic ``det = c - a`` is the channel's determinant.
     Muroga raises SingularChannelError on a singular channel.
     """
     if closed_form:
-        a = float(q[0, 1])
-        c = float(q[1, 1])
-        diag = {"det": c - a}
-        if abs(c - a) <= DEGENERATE_TOL:
-            return "binary_closed_form", 0.0, np.array([0.5, 0.5]), None, diag
+        a, c = float(q[0, 1]), float(q[1, 1])
         capacity = binary_capacity(a, c, cfg)
         raw = binary_optimal_input(a, c)
-        return "binary_closed_form", capacity, raw, binary_optimal_output(a, c), diag
+        return "binary_closed_form", capacity, raw, binary_optimal_output(a, c), {"det": c - a}
     sol = muroga_capacity(q, cfg)
     return "muroga", sol.capacity, sol.opt_input_raw, sol.opt_output, {}
 

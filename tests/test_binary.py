@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chancap import (
@@ -15,6 +15,7 @@ from chancap import (
     binary_channel,
     binary_optimal_input,
     binary_optimal_output,
+    capacity_bounds,
     channel_mutual_information,
     muroga_capacity,
     output_distribution,
@@ -147,9 +148,9 @@ class TestBinaryOptimalInput:
             p = binary_optimal_input(a, c)
             assert p.min() >= -1e-12
 
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateChannelError):
-            binary_optimal_input(0.4, 0.4)
+    def test_degenerate_line(self):
+        for a in (0.0, 0.3, 1.0):
+            assert binary_optimal_input(a, a).tolist() == [0.5, 0.5]
 
 
 class TestBinaryOptimalOutput:
@@ -182,9 +183,9 @@ class TestBinaryOptimalOutput:
                 r, output_distribution(np.clip(p, 0.0, 1.0), binary_channel(a, c)), atol=1e-10
             )
 
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateChannelError):
-            binary_optimal_output(0.2, 0.2)
+    def test_degenerate_line(self):
+        for a in (0.0, 0.3, 1.0):
+            assert binary_optimal_output(a, a).tolist() == [1.0 - a, a]
 
 
 class TestConsistency:
@@ -207,3 +208,41 @@ class TestConsistency:
             for p1 in sweep:
                 i = channel_mutual_information([float(p1), float(1.0 - p1)], q)
                 assert cap >= i - 1e-9
+
+
+@st.composite
+def whole_square(draw):
+    """(a, c) anywhere on the closed square, |c - a| log-uniform in [1e-15, 1] before clipping."""
+    a = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    d = 10.0 ** draw(st.floats(-15.0, 0.0))
+    c = min(max(a + d if draw(st.booleans()) else a - d, 0.0), 1.0)
+    return (c, a) if draw(st.booleans()) else (a, c)
+
+
+class TestWholeSquare:
+    """One evaluation on the closed square: feasible, certified, no degenerate cut-off."""
+
+    TOL = 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(whole_square())
+    @example((5e-324, 1.0))
+    @example((1.0, 2.2250738585e-313))
+    @example((0.0, 1e-300))
+    @example((1.0, 1.0 - 2.0**-53))
+    @example((0.3, 0.3 + 1e-9))
+    @example((0.0, 0.0))
+    @example((0.0, 1.0))
+    @example((1.0, 0.0))
+    @example((1.0, 1.0))
+    def test_feasible_and_certified(self, ac):
+        a, c = ac
+        p = binary_optimal_input(a, c)
+        for dist in (p, binary_optimal_output(a, c)):
+            assert dist.min() >= 0.0 and abs(math.fsum(dist) - 1.0) <= 1e-15, dist
+        if 0.0 < a < 1.0 and 0.0 < c < 1.0:
+            # The provable range, to a few ulps of rounding.
+            assert 1.0 / math.e - 4e-16 <= p.min() <= p.max() <= 1.0 - 1.0 / math.e + 4e-16, p
+        lower, upper = capacity_bounds(p, binary_channel(a, c))
+        assert upper - lower <= self.TOL
+        assert lower - self.TOL <= binary_capacity(a, c) <= upper + self.TOL

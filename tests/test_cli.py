@@ -39,7 +39,8 @@ from chancap.cli import (
 )
 
 INFEASIBLE_3X3 = [[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]
-# |c - a| ≈ 1.0e-12: the closed form's raw input is about (-5.1e5, 5.1e5).
+# |c - a| ≈ 1.0e-12: a formula that divides a cancelling difference by c - a
+# gives a raw input of about (-5.1e5, 5.1e5) here.
 NEAR_DEGENERATE_A, NEAR_DEGENERATE_C = 0.5674319950470281, 0.5674319950480301
 
 CFG = LogConfig()
@@ -415,9 +416,15 @@ class TestCapacityResultInvariants:
             (binary_q(NEAR_DEGENERATE_A, NEAR_DEGENERATE_C), "binary"),
             (binary_q(0.3, 0.3000000001), "auto"),
             (binary_q(0.3, 0.3000000001), "binary"),
+            (binary_q(0.9, 0.9 - 1e-15), "auto"),
+            (binary_q(0.0, 1e-300), "auto"),
         ]
         for raw, method in cases:
             result, _ = solve_channel(ingest_matrix(raw), method, CFG, OCFG)
+            if method == "auto" and raw.shape == (2, 2):
+                # The closed form is feasible on the whole square: no fallback.
+                assert result.method == "binary_closed_form", raw
+                assert result.feasible and not result.fallback_used, raw
             assert result.capacity >= -1e-12
             for dist in (result.optimal_input, result.optimal_output):
                 assert min(dist) >= -1e-12
