@@ -91,9 +91,11 @@ def mi_gradient(p, q, cfg: LogConfig = None):
     return np.array([math.fsum(row) - const for row in bracket])
 
 
-def _check_perm(perm, n):
+def _check_perm(perm, q, axis):
     # A repeated, missing or boolean index would duplicate or drop symbols.
-    perm = np.asarray(perm)
+    if q.ndim != 2:
+        raise ValueError(f"channel must be 2-D, got shape {q.shape}")
+    n, perm = q.shape[axis], np.asarray(perm)
     if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError(f"perm must be a permutation of range({n}), got {perm.tolist()}")
     return perm
@@ -102,13 +104,13 @@ def _check_perm(perm, n):
 def relabel_inputs(p, q, perm):
     """Permute the input symbols of (p, Q) together; ``perm`` orders Q's rows."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    perm = _check_perm(perm, q, 0)
     if p.shape != q.shape[:1]:
         raise ValueError(f"input shape {p.shape} does not match {q.shape[0]} channel rows")
-    perm = _check_perm(perm, q.shape[0])
     return p[perm], q[perm, :]
 
 
 def relabel_outputs(q, perm):
     """Permute the output symbols of Q; ``perm`` orders its columns."""
     q = np.asarray(q, dtype=float)
-    return q[:, _check_perm(perm, q.shape[1])]
+    return q[:, _check_perm(perm, q, 1)]

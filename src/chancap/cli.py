@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .binary import binary_capacity, binary_optimal_input, binary_optimal_output
+from .binary import _check_binary, _closed_form
 from .channel import binary_channel, check_channel
 from .entropy import SUM_TOL, LogConfig, _as_float_array, _unsettled
 from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, feasible_input, muroga_capacity
@@ -241,10 +241,10 @@ def _explicit_answer(q, closed_form, cfg):
     Muroga raises SingularChannelError on a singular channel.
     """
     if closed_form:
-        a, c = float(q[0, 1]), float(q[1, 1])
-        capacity = binary_capacity(a, c, cfg)
-        raw = binary_optimal_input(a, c)
-        return "binary_closed_form", capacity, raw, binary_optimal_output(a, c), {"det": c - a}
+        a, c = _check_binary(q[0, 1], q[1, 1])
+        capacity, p, r = _closed_form(a, c)
+        diag = {"det": c - a}
+        return "binary_closed_form", capacity / math.log(cfg.base), np.array(p), np.array(r), diag
     sol = muroga_capacity(q, cfg)
     return "muroga", sol.capacity, sol.opt_input_raw, sol.opt_output, {}
 

@@ -182,10 +182,14 @@ def _check_pair(p, q):
 
 def normalize(p):
     """Explicitly rescale nonnegative weights to sum to 1."""
-    arr, lo, _ = _as_float_array(p, "weights")
+    arr, lo, hi = _as_float_array(p, "weights")
     if lo < 0.0:
         raise ValueError("weights must be nonnegative")
-    total = arr.sum()
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+    if not math.isfinite(total):  # finite weights whose sum overflows
+        arr = arr / hi
+        total = arr.sum()
     if total <= 0.0:
         raise ValueError("weights sum to zero")
     return arr / total

@@ -6,22 +6,22 @@ h_i = sum_j q_ij log_b q_ij, then
 
     C    = log_b sum_j b**x_j
     r_j  = b**(x_j - C)
-    p    = F^T r,   F = Q^{-1}
+    p    solves Q^T p = r
 
 The output distribution r is always a valid distribution; the input p
-recovered through the inverse may have negative entries, in which case the
+recovered through Q^T may have negative entries, in which case the
 unconstrained stationary point lies outside the simplex and C is only an
 upper bound on the true capacity.  Callers should fall back to an iterative
 solver in that case.
 
-One LAPACK solve gives both x and F; the public ``solve`` and ``inverse``
-expose it, with its singularity rule, on any square matrix.
+``_muroga`` evaluates the formula and ``_inverse`` the singularity rule;
+the public ``solve`` and ``inverse`` expose the rule on any square matrix.
 
 For Q of any shape, ``_active_set`` solves the same system on a support S
 that grows and shrinks, d_S = C and sum p_S = 1, and returns an input only
 with a certified bracket.  When S and the outputs it reaches form a square
-block, the explicit formula above solves it; Newton's method solves the
-other supports and those the formula's answer does not settle.
+block, ``_muroga`` solves it, with no condition-number rule; Newton's method
+solves the other supports and those the formula's answer does not settle.
 """
 
 import math
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _bracket, _divergences, check_channel
-from .entropy import LogConfig, _DEFAULT, _log_b, xlogx_star
+from .entropy import LogConfig, _DEFAULT, _log_b, _log_pos
 
 #: Raw inputs with entries no more negative than this count as feasible.
 INPUT_FEASIBILITY_TOL = 1e-12
@@ -74,26 +74,22 @@ def _check_square_channel(q):
     return q
 
 
-def _solve_with_inverse(a, rhs):
-    """Solve ``a @ x = rhs`` and invert ``a`` from one LAPACK factorization.
+def _inverse(a):
+    """F = a^{-1} of a checked square float matrix, under the one singularity rule.
 
-    ``a`` is a checked square float matrix and ``rhs`` a float vector of its
-    order.  Returns ``(x, F)`` with ``F = a^{-1}``.  ``a`` is singular, and
-    SingularChannelError is raised, when LAPACK raises ``LinAlgError`` or when
-    ``rcond = 1 / (||a||_1 * ||F||_1)`` is not >= ``RCOND_TOL``; the "not >="
-    also rejects a NaN or overflowed ``F``.
+    ``a`` is singular, and SingularChannelError is raised, when LAPACK raises
+    ``LinAlgError`` or when ``rcond = 1 / (||a||_1 * ||F||_1)`` is not
+    >= ``RCOND_TOL``; the "not >=" also rejects a NaN or overflowed ``F``.
     """
-    n = a.shape[0]
     try:
-        sol = np.linalg.solve(a, np.column_stack([rhs, np.eye(n)]))
+        f = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(str(exc)) from exc
-    f = sol[:, 1:]
     with np.errstate(over="ignore"):
         rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(f, 1))
     if not rcond >= RCOND_TOL:
         raise SingularChannelError(f"reciprocal condition number {rcond:g} below {RCOND_TOL:g}")
-    return sol[:, 0], f
+    return f
 
 
 def solve(a, rhs):
@@ -102,13 +98,13 @@ def solve(a, rhs):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (a.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match matrix of order {a.shape[0]}")
-    return _solve_with_inverse(a, rhs)[0]
+    _inverse(a)
+    return np.linalg.solve(a, rhs)
 
 
 def inverse(a):
     """Inverse of a square matrix; raises SingularChannelError if singular."""
-    a = _check_square(a)
-    return _solve_with_inverse(a, np.zeros(a.shape[0]))[1]
+    return _inverse(_check_square(a))
 
 
 def _exp_b(t, base):
@@ -117,16 +113,28 @@ def _exp_b(t, base):
     return np.exp(np.asarray(t, dtype=float) * math.log(base))
 
 
-def _row_terms(q, cfg):
-    """h_i = sum_j q_ij log_b q_ij, each row summed exactly rounded."""
-    return np.array([math.fsum(row) for row in xlogx_star(q, cfg).tolist()])
+def _muroga(q, logq, base):
+    """Muroga's formula, above, on a square float matrix: ``(x, C, r, p)``.
+
+    ``logq`` is the masked log_b of ``q``; C is taken with the max of x
+    shifted out.  p is the one solution of d = C, sum p = 1, possibly
+    outside the simplex.  Raises ``LinAlgError`` when LAPACK finds ``q``
+    exactly singular; a condition-number rule is the caller's.
+    """
+    x = np.linalg.solve(q, (q * logq).sum(axis=1))
+    top = x.max()
+    w = _exp_b(x - top, base)
+    total = w.sum()
+    r = w / total
+    return x, float(top + _log_b(total, base)), r, np.linalg.solve(q.T, r)
 
 
 def solve_auxiliary(q, cfg: LogConfig = None):
     """Solve Q x = h, h_i = sum_j q_ij log_b q_ij, for the auxiliary vector x."""
     cfg = _DEFAULT if cfg is None else cfg
     q = _check_square_channel(q)
-    return _solve_with_inverse(q, _row_terms(q, cfg))[0]
+    _inverse(q)
+    return _muroga(q, _log_pos(q, cfg.base), cfg.base)[0]
 
 
 def capacity_from_aux(aux, cfg: LogConfig = None):
@@ -154,15 +162,17 @@ def optimal_input(q, opt_output):
     r = np.asarray(opt_output, dtype=float)
     if r.shape != (q.shape[0],):
         raise ValueError(f"output distribution shape {r.shape} does not match channel {q.shape}")
-    f = _solve_with_inverse(q, np.zeros(q.shape[0]))[1]
-    return f.T @ r
+    return _inverse(q).T @ r
 
 
 def feasible_input(opt_input_raw):
     """Clamp tiny negative entries to zero and renormalize, for reporting."""
     p = np.asarray(opt_input_raw, dtype=float).copy()
     p[p < 0.0] = 0.0
-    total = math.fsum(p)
+    try:
+        total = math.fsum(p)
+    except OverflowError:  # finite entries whose sum is not
+        total = math.inf
     if not (math.isfinite(total) and total > 0.0):
         raise ValueError(f"raw input has no finite positive mass to renormalize, total {total!r}")
     return p / total
@@ -172,12 +182,10 @@ def muroga_capacity(q, cfg: LogConfig = None) -> MurogaSolution:
     """Run the full explicit pipeline on a square invertible channel."""
     cfg = _DEFAULT if cfg is None else cfg
     q = _check_square_channel(q)
-    aux, f = _solve_with_inverse(q, _row_terms(q, cfg))
-    capacity = capacity_from_aux(aux, cfg)
+    f = _inverse(q)
+    aux, capacity, r, p_raw = _muroga(q, _log_pos(q, cfg.base), cfg.base)
     if -1e-12 < capacity < 0.0:  # roundoff on near-zero-capacity channels
         capacity = 0.0
-    r = optimal_output(aux, capacity, cfg)
-    p_raw = f.T @ r
     feasible = bool(np.all(p_raw >= -INPUT_FEASIBILITY_TOL))
     return MurogaSolution(
         aux=aux,
@@ -228,32 +236,6 @@ def _add_input(q, cand, j):
     return start / start.sum()
 
 
-def _muroga_block(qs, logqs, base):
-    """Muroga's formula on a square block: ``(p_S, C)``, or None.
-
-    ``qs`` is a support's rows restricted to the outputs they reach, and
-    ``logqs`` its masked log_b.  x solves Q_S x = h_S, then
-    C = log_b sum_j b**x_j, r = b**(x - C) and p_S solves Q_S^T p_S = r:
-    the one solution of d_S = C, sum p_S = 1, with p_S possibly outside the
-    simplex.  Two solves, not ``muroga_capacity``'s one solve with inverse:
-    they cost the same up to order 16 and a third less at 64 (measured).
-    None when LAPACK finds the block singular or p_S is not finite (C is
-    finite whenever x is, and p_S is not whenever x is not).  There is no
-    condition-number rule: the residual test and the certificate judge.
-    """
-    try:
-        x = np.linalg.solve(qs, (qs * logqs).sum(axis=1))
-        top = x.max()
-        w = _exp_b(x - top, base)
-        total = w.sum()
-        ps = np.linalg.solve(qs.T, w / total)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(ps).all():
-        return None
-    return ps, float(top + _log_b(total, base))
-
-
 def _newton_support(q, logq, p, base, tol, support=None):
     """Solve Muroga's system on a support; a candidate input or None.
 
@@ -265,16 +247,17 @@ def _newton_support(q, logq, p, base, tol, support=None):
     ``p`` on what is left, so S only shrinks here, and only the caller adds.
 
     Square supports.  When Q_S, restricted to the outputs S reaches, is
-    square, the system has Muroga's explicit solution (``_muroga_block``),
-    which the Newton iterates would converge to.  Inside the simplex it is
-    the iterate Newton goes on from, returned at once if its residual
-    passes: on a 2x2 channel one explicit solution replaces two or three
-    Newton steps.  Outside the simplex, on a passed support, the most
-    negative input drops, as after a Newton step.  On a guessed support it
-    is ignored and Newton runs from ``p`` as on any other support: the
-    exact solution can lie far from ``p``, and batch drops read from it
-    threw out optimal inputs (one of 6000 random tall channels then settled
-    at sweep 16 instead of 4).  A singular block also leaves S to Newton.
+    square, the system has Muroga's explicit solution (``_muroga``, as in
+    ``muroga_capacity``), which the Newton iterates would converge to.
+    Inside the simplex it is the iterate Newton goes on from, returned at
+    once if its residual passes: on a 2x2 channel one explicit solution
+    replaces two or three Newton steps.  Outside the simplex, on a passed
+    support, the most negative input drops, as after a Newton step.  On a
+    guessed support it is ignored and Newton runs from ``p`` as on any
+    other support: the exact solution can lie far from ``p``, and batch
+    drops read from it threw out optimal inputs (one of 6000 random tall
+    channels then settled at sweep 16 instead of 4).  An exactly singular
+    block, or an answer that is not finite, also leaves S to Newton.
 
     Newton.  Since dd_i/dp_l = -sum_j q_ij q_lj / (r_j ln b), the Jacobian
     is -Q_S diag(1/r) Q_S^T / ln b bordered by a column of -1 and a row of
@@ -302,11 +285,18 @@ def _newton_support(q, logq, p, base, tol, support=None):
         qs = q[support]
         cols = qs.any(axis=0)
         qs, logqs = qs[:, cols], logq[support][:, cols]
-        exact = _muroga_block(qs, logqs, base) if k == qs.shape[1] else None
-        if exact is not None and exact[0].min() > 0.0:
-            ps, c = exact
+        exact = None
+        if k == qs.shape[1]:
+            try:
+                _, c, _, exact = _muroga(qs, logqs, base)
+            except np.linalg.LinAlgError:
+                pass  # an exactly singular block is left to Newton
+            if exact is not None and not np.isfinite(exact).all():
+                exact = None  # C is finite whenever x is, and p_S is not whenever x is not
+        if exact is not None and exact.min() > 0.0:
+            ps = exact
         elif exact is not None and not guessed:
-            support = np.delete(support, np.argmin(exact[0]))
+            support = np.delete(support, np.argmin(exact))
             continue
         else:
             ps, c = p[support] / p[support].sum(), None

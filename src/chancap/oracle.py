@@ -92,8 +92,9 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     rank Q <= m.  At sweeps 4, 8, 16, ... (doubling, so failed attempts cost
     O(log sweeps) solves) the loop hands p to ``muroga._active_set``, which
     solves d_S - C = 0, sum p_S = 1 on a support S of at most m inputs
-    guessed from p: by Muroga's explicit formula when S and the outputs it
-    reaches form a square block whose solution lies in the simplex, and by
+    guessed from p: by Muroga's explicit formula (``muroga._muroga``, as in
+    ``muroga_capacity``) when S and the outputs it reaches form a square
+    block whose solution lies in the simplex, and by
     Newton otherwise, which prunes the guess in batches.  It then adds the
     inputs the certificate flags, dropping one input per step after an add.
     A batch can discard an optimal input that an add must bring back: on

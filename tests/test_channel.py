@@ -200,6 +200,13 @@ class TestRelabeling:
         with pytest.raises(ValueError, match="permutation"):
             relabel_outputs(q, perm)
 
+    def test_rejects_channel_that_is_not_2d(self):
+        """A 1-D q raised IndexError."""
+        with pytest.raises(ValueError, match=r"2-D, got shape \(1,\)"):
+            relabel_inputs([1.0], [1.0], [0])
+        with pytest.raises(ValueError, match=r"2-D, got shape \(2,\)"):
+            relabel_outputs([0.5, 0.5], [0, 1])
+
     @pytest.mark.parametrize("p", [[0.5, 0.3, 0.2], [1.0]])
     def test_rejects_input_of_wrong_length(self, p):
         """A longer p came back truncated, no longer a distribution; a

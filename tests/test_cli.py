@@ -22,6 +22,7 @@ from chancap import (
     capacity_bounds,
     muroga_capacity,
 )
+from chancap.binary import _closed_form
 from chancap.cli import (
     EXIT_BAD_FILE,
     EXIT_BAD_MATRIX,
@@ -184,6 +185,23 @@ class TestSolveChannel:
         assert code == EXIT_OK
         assert result.method == "muroga"
         assert result.capacity == pytest.approx(math.log2(3.0), abs=1e-12)
+
+    def test_binary_report_evaluates_closed_form_once(self, monkeypatch, capsys):
+        """Capacity, input and output of a 2x2 report come from one closed-form
+        evaluation (a = 0.3 is the anchor, so it does not recurse)."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _closed_form(*args)
+
+        monkeypatch.setattr("chancap.binary._closed_form", counted)
+        monkeypatch.setattr("chancap.cli._closed_form", counted, raising=False)
+        assert run(["--a", "0.3", "--c", "0.9"]) == EXIT_OK
+        result = parse_report(capsys.readouterr().out)
+        assert result.method == "binary_closed_form"
+        assert calls == [(0.3, 0.9)]
+        assert result.capacity == binary_capacity(0.3, 0.9)
 
     def test_auto_feasible_square_runs_explicit_solver_once(self, monkeypatch):
         calls = []

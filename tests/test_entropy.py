@@ -167,6 +167,8 @@ class TestCheckDistribution:
 
     def test_normalize(self):
         np.testing.assert_allclose(normalize([2.0, 6.0]), [0.25, 0.75], atol=0)
+        # The total overflows; the weights are rescaled by the largest first.
+        np.testing.assert_array_equal(normalize([1e308, 1e308]), [0.5, 0.5])
         with pytest.raises(ValueError):
             normalize([0.0, 0.0])
 

@@ -1,5 +1,5 @@
-"""Muroga's linear solve as the public ``solve`` and ``inverse``: LAPACK plus
-one singularity rule, shared with the explicit formula."""
+"""The public ``solve`` and ``inverse``: LAPACK plus the one singularity rule
+that the explicit formula's entry points apply too."""
 
 import numpy as np
 import pytest

@@ -26,7 +26,7 @@ from chancap import (
     xlogx_star,
 )
 from chancap.entropy import _log_pos
-from chancap.muroga import _active_set
+from chancap.muroga import _active_set, _muroga
 
 # A channel whose middle input is a noisy blend of the outer two: the
 # unconstrained stationary input has a negative middle entry, so the
@@ -173,7 +173,9 @@ class TestOptimalDistributions:
         assert p[1] == 0.0
         assert math.fsum(p) == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("raw", [[np.nan, 1.0], [np.inf, 1.0], [0.0, -1e-13]])
+    @pytest.mark.parametrize(
+        "raw", [[np.nan, 1.0], [np.inf, 1.0], [0.0, -1e-13], [1e308, 1e308]]
+    )
     def test_feasible_input_rejects_non_finite_or_empty_mass(self, raw):
         with pytest.raises(ValueError, match="finite positive mass"):
             feasible_input(np.array(raw))
@@ -279,6 +281,25 @@ class TestMurogaCapacity:
         for q in _random_invertible_channels(50, 20):
             sol = muroga_capacity(q)
             assert sol.capacity == pytest.approx(capacity_from_aux(sol.aux), abs=1e-12)
+
+    def test_one_formula_with_the_polish(self):
+        """The explicit pipeline and the BA polish's square blocks evaluate
+        Muroga's formula in one function, so on a feasible channel with full
+        support they agree bit for bit."""
+        rng = np.random.default_rng(14)
+        checked = 0
+        while checked < 100:
+            n = int(rng.integers(2, 9))
+            q = rng.dirichlet(np.full(n, 0.5), size=n) + 2.0 * np.eye(n)
+            q /= q.sum(axis=1, keepdims=True)
+            sol = muroga_capacity(q)
+            if not sol.feasible:
+                continue
+            checked += 1
+            _, capacity, r, p = _muroga(q, _log_pos(q, 2.0), 2.0)
+            assert sol.capacity == capacity
+            np.testing.assert_array_equal(sol.opt_input_raw, p)
+            np.testing.assert_array_equal(sol.opt_output, r)
 
 
 class TestActiveSet:

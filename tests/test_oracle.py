@@ -20,7 +20,7 @@ from chancap import (
 )
 from chancap.channel import check_channel
 from chancap.entropy import _DEFAULT, _log_pos, xlogx_star
-from chancap.muroga import SUPPORT_SHARE, _add_input, _muroga_block
+from chancap.muroga import SUPPORT_SHARE, _add_input, _muroga
 from chancap.oracle import _DEFAULT_ORACLE, GridResult
 
 
@@ -245,7 +245,8 @@ class TestNewtonPolish:
         explicit solution existed."""
         q = np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
         logq = _log_pos(q, 2.0)
-        assert _muroga_block(q, logq, 2.0) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            _muroga(q, logq, 2.0)
         res = blahut_arimoto(q)
         assert res.converged
         lower, upper = capacity_bounds(res.input_dist, q)
