@@ -21,10 +21,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .binary import _check_binary, _closed_form
-from .channel import binary_channel, check_channel
-from .entropy import SUM_TOL, LogConfig, _as_float_array, _unsettled
+from .channel import _bracket, binary_channel, check_channel
+from .entropy import SUM_TOL, LogConfig, _as_float_array, _log_pos, _unsettled
 from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, feasible_input, muroga_capacity
-from .oracle import OracleConfig, blahut_arimoto, capacity_bounds, grid_search_binary
+from .oracle import OracleConfig, blahut_arimoto, grid_search_binary
 
 EXIT_OK = 0
 EXIT_BAD_FILE = 2
@@ -99,8 +99,11 @@ def emit_report(result: CapacityResult, format: str = "json") -> str:
         ]
         if result.diagnostics:
             lines.append("diagnostics")
+            # Keys of 13 characters or fewer keep the 14-column layout; a
+            # longer one widens it so that a space always precedes the value.
+            width = max(14, 1 + max(map(len, result.diagnostics)))
             for k in sorted(result.diagnostics):
-                lines.append(f"  {k:<14}{_fmt(result.diagnostics[k])}")
+                lines.append(f"  {k:<{width}}{_fmt(result.diagnostics[k])}")
         return "\n".join(lines)
     raise ValueError(f"unknown report format {format!r}")
 
@@ -203,7 +206,9 @@ def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallbac
     """The one place a solver's answer becomes a CapacityResult.
 
     Every report is certified from its own reported input ``p``:
-    ``diagnostics["gap"]`` is upper - lower of ``capacity_bounds(p, q)``.
+    ``diagnostics["gap"]`` is upper - lower of the bracket, computed as
+    ``capacity_bounds(p, q, cfg)`` computes it, on the ingested ``q``
+    without validating either again.
     ``r`` is the method's own output distribution; without one the report
     shows ``p Q``.  An explicit answer passes its raw input ``raw`` (``p`` is
     its clamp onto the simplex) and is feasible only when no raw entry is
@@ -212,7 +217,7 @@ def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallbac
     smallest raw entry.  An iterative answer is feasible unless it is a
     fallback.
     """
-    lower, upper = capacity_bounds(p, q, cfg)
+    _, lower, upper = _bracket(q, _log_pos(q, cfg.base), p, cfg.base)
     diagnostics["gap"] = upper - lower
     feasible = not fallback_used
     if raw is not None:
@@ -250,7 +255,7 @@ def _explicit_answer(q, closed_form, cfg):
 
 
 def solve_channel(q, method, cfg, ocfg):
-    """Dispatch to a solver; returns (CapacityResult, exit code).
+    """Dispatch a checked channel ``q`` to a solver; returns (CapacityResult, exit code).
 
     Under auto a 2x2 channel uses the closed form and any other square
     channel Muroga's solution; an infeasible explicit answer falls back to
@@ -334,8 +339,10 @@ def run(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_FILE
     else:
+        # Valid as built: a and c are checked, so every entry lies in [0, 1]
+        # and each row sums to 1 within one ulp; ingest would only copy it.
         try:
-            raw = binary_channel(args.a, args.c)
+            q = binary_channel(args.a, args.c)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_MATRIX
@@ -350,7 +357,8 @@ def run(argv=None) -> int:
         return EXIT_BAD_FILE
 
     try:
-        q = ingest_matrix(raw)
+        if args.matrix is not None:
+            q = ingest_matrix(raw)
         result, code = solve_channel(q, method, cfg, ocfg)
     except (SingularChannelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,9 @@
 """Command line front end: file ingest, solver dispatch, deterministic reports."""
 
+import contextlib
+import importlib
+import io
+import itertools
 import json
 import math
 import os
@@ -18,8 +22,10 @@ from chancap import (
     OracleConfig,
     SingularChannelError,
     binary_capacity,
+    binary_channel,
     blahut_arimoto,
     capacity_bounds,
+    check_channel,
     muroga_capacity,
 )
 from chancap.binary import _closed_form
@@ -162,6 +168,22 @@ class TestReports:
     def test_text_format(self):
         text = emit_report(self._sample(), "text")
         assert "capacity" in text and "bits" in text and "binary_closed_form" in text
+
+    def test_text_diagnostics_split_into_key_and_value(self):
+        """Every diagnostics line is a key, a space, a value, whatever the key's
+        length; a report whose keys are all short keeps the 14-column layout."""
+        fallback, _ = solve_channel(ingest_matrix(np.array(INFEASIBLE_3X3)), "auto", CFG, OCFG)
+        grid, _ = solve_channel(ingest_matrix(binary_q(0.1, 0.7)), "grid", CFG, OCFG)
+        assert "muroga_capacity_raw" in fallback.diagnostics and "grid_resolution" in grid.diagnostics
+        for result in (fallback, grid, self._sample()):
+            lines = emit_report(result, "text").splitlines()
+            diag = lines[lines.index("diagnostics") + 1 :]
+            assert len(diag) == len(result.diagnostics)
+            for line in diag:
+                key, value = line.split()
+                assert float(value) == result.diagnostics[key], line
+        short = emit_report(self._sample(), "text").splitlines()
+        assert short[-1] == "  gap           " + short[-1].split()[1]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -399,6 +421,99 @@ class TestRun:
         assert result.diagnostics["muroga_capacity_raw"] > result.capacity
 
 
+def count_calls(monkeypatch, *names):
+    """Calls of each named package function, through every module global bound to it."""
+    counts = {}
+    package = [m for n, m in list(sys.modules.items()) if n == "chancap" or n.startswith("chancap.")]
+    for dotted in names:
+        home, name = dotted.rsplit(".", 1)
+        fn = getattr(importlib.import_module(home), name)
+        counts[name] = 0
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in package:
+            for gname, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, gname, counted)
+    return counts
+
+
+class TestChecksOnce:
+    """One run() checks its channel once: on ingest for a file, in _check_binary
+    for --a/--c; the certificate does not check again, and only a solver's
+    public entry point re-checks the channel it is given."""
+
+    VALIDATORS = (
+        "chancap.entropy.check_channel",
+        "chancap.entropy.check_distribution",
+        "chancap.oracle.capacity_bounds",
+        "chancap.cli.ingest_matrix",
+    )
+
+    @pytest.mark.parametrize("method, solver_checks", [("auto", 0), ("blahut-arimoto", 1), ("grid", 1)])
+    def test_binary_shortcut(self, monkeypatch, capsys, method, solver_checks):
+        counts = count_calls(monkeypatch, *self.VALIDATORS)
+        assert run(["--a", "0.3", "--c", "0.9", "--method", method]) == EXIT_OK
+        capsys.readouterr()
+        assert counts == {
+            "check_channel": solver_checks,
+            "check_distribution": 0,
+            "capacity_bounds": 0,
+            "ingest_matrix": 0,
+        }
+
+    def test_file_channel_is_ingested_once(self, monkeypatch, tmp_path, capsys):
+        # auto on an infeasible square channel: ingest, then Muroga and BA each
+        # check the channel they are given.
+        path = write_channel_file(tmp_path, "inf.json", {"matrix": INFEASIBLE_3X3})
+        counts = count_calls(monkeypatch, *self.VALIDATORS)
+        assert run(["--matrix", path]) == EXIT_OK
+        assert parse_report(capsys.readouterr().out).fallback_used
+        assert counts == {
+            "check_channel": 3,
+            "check_distribution": 0,
+            "capacity_bounds": 0,
+            "ingest_matrix": 1,
+        }
+
+
+#: a, c over the closed unit square, with its corners, the smallest
+#: subnormal and the largest double below 1 drawn often.
+UNIT = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]), st.floats(0.0, 1.0))
+
+
+class TestBinaryShortcutAsBuilt:
+    """run() uses binary_channel(a, c) without ingesting it, which is sound
+    because the matrix passes check_channel unchanged."""
+
+    @settings(deadline=None)
+    @given(UNIT, UNIT)
+    @example(5e-324, 1.0 - 2.0**-53)
+    @example(1.0, 1.0 - 2.0**-53)
+    def test_check_channel_returns_it_unchanged(self, a, c):
+        q = binary_channel(a, c)
+        checked = check_channel(q)
+        assert checked.dtype == q.dtype and checked.tobytes() == q.tobytes()
+
+    @settings(deadline=None)
+    @given(UNIT, UNIT)
+    @example(5e-324, 1.0 - 2.0**-53)
+    @example(0.3, 0.3)
+    def test_flags_report_as_the_matrix_file(self, tmp_path_factory, a, c):
+        path = write_channel_file(tmp_path_factory.mktemp("ac"), "q.json", {"matrix": [[1 - a, a], [1 - c, c]]})
+        for method in METHODS:
+            outputs = []
+            for source in (["--a", repr(a), "--c", repr(c)], ["--matrix", path]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run([*source, "--method", method])
+                outputs.append((code, out.getvalue(), err.getvalue()))
+            assert outputs[0] == outputs[1], (method, a, c)
+
+
 class TestConsoleScript:
     @pytest.mark.skipif(shutil.which("capacity") is None, reason="entry point not installed")
     def test_installed_entry_point(self):
@@ -477,6 +592,8 @@ class TestCertificate:
     """Every report carries the gap of its own reported input."""
 
     OCFG = OracleConfig(max_iterations=500, grid_resolution=10**4)
+    #: Bits, nats and decimal digits: a certificate that ignored the base fails.
+    CFGS = (CFG, LogConfig(base=math.e), LogConfig(base=10.0))
 
     @settings(deadline=None)
     @given(channels())
@@ -490,17 +607,17 @@ class TestCertificate:
             methods = ("auto", "muroga", "blahut-arimoto")
         else:
             methods = ("auto", "blahut-arimoto")
-        for method in methods:
+        for cfg, method in itertools.product(self.CFGS, methods):
             try:
-                result, code = solve_channel(q, method, CFG, self.OCFG)
+                result, code = solve_channel(q, method, cfg, self.OCFG)
             except SingularChannelError:
                 continue
             if code != EXIT_OK:
                 continue
             p = np.array(result.optimal_input)
             assert np.all(p >= 0.0) and abs(math.fsum(p) - 1.0) <= 1e-12, (method, p)
-            lower, upper = capacity_bounds(p, q, CFG)
-            assert result.diagnostics["gap"] == upper - lower, method
+            lower, upper = capacity_bounds(p, q, cfg)
+            assert result.diagnostics["gap"] == upper - lower, (cfg.base, method)
             if result.feasible:
                 tol = self.OCFG.tolerance
-                assert lower - tol <= result.capacity <= upper + tol, (method, result)
+                assert lower - tol <= result.capacity <= upper + tol, (cfg.base, method, result)
