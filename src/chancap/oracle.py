@@ -1,7 +1,8 @@
 """Iterative capacity solvers with a certified optimality gap.
 
 Two oracles: the alternating-maximization scheme (any channel shape),
-polished at sweeps 4, 8, 16, ... by Muroga's system on an active set
+which on a square channel tries Muroga's explicit answer at sweep 1 and
+is polished at sweeps 4, 8, 16, ... by Muroga's system on an active set
 (``muroga._active_set``), and a grid search over the input simplex for
 binary channels that returns the best of all its grid points.  Nothing
 either returns is trusted without the bracket, the one certificate that
@@ -17,7 +18,7 @@ import numpy as np
 
 from .channel import _bracket, check_channel
 from .entropy import LogConfig, _DEFAULT, _check_pair, _log_pos, xlogx_star
-from .muroga import _active_set
+from .muroga import INPUT_FEASIBILITY_TOL, _active_set, _muroga, feasible_input
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def capacity_bounds(p, q, cfg: LogConfig = None):
 
 
 def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAResult:
-    """Alternating maximization from the uniform input, with a certified Muroga polish.
+    """Alternating maximization from the uniform input, with certified Muroga shortcuts.
 
     Each sweep computes d_i = sum_j q_ij (log_b q_ij - log_b r_j) against the
     current output distribution r = p Q, and with it the certificate of p:
@@ -86,6 +87,17 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     KKT system.  p is optimal exactly when d_i = C on the inputs with
     p_i > 0 and d_i <= C on the rest, with C the capacity and sum p = 1.  On
     a square channel with full support this is Muroga's system.
+
+    Explicit try.  On a square channel whose bracket at sweep 1 is wider
+    than the tolerance, Muroga's explicit answer (``muroga._muroga``, as in
+    ``muroga_capacity``: two linear solves, no condition-number rule) is
+    evaluated once.  When no entry of its input lies below
+    -``INPUT_FEASIBILITY_TOL``, the input is clamped onto the simplex as
+    ``feasible_input`` does and offered to the acceptance rule below.  An
+    exactly singular channel, an answer that is not finite or one outside
+    the simplex is dropped, and the sweeps go on exactly as without the
+    try.  Every one of 1998 random binary channels (|c - a| > 1e-3)
+    settles at sweep 1 this way, where the polish settled them at sweep 4.
 
     Support bound.  The optimal output r* is unique, so the optimal inputs
     form a polytope, and each of its vertices has support at most
@@ -100,19 +112,20 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     A batch can discard an optimal input that an add must bring back: on
     6000 random tall channels (128x8 and 96x6, 24 028 sweeps in all) all
     but five settle at sweep 4, and none later than sweep 16, the same five
-    as with Newton alone.  Of 2000 random binary channels (|c - a| > 1e-3),
-    each that reaches sweep 4 settles there with one explicit solution.
+    as with Newton alone.  Of 1200 random square channels (n = 3..8, rows
+    Dirichlet(0.7)), 87 settle at sweep 1 by the explicit try and the other
+    1113 at sweep 4.
 
-    Acceptance rule.  Each candidate is accepted only if its own
-    certificate, computed exactly as ``capacity_bounds`` computes it, has
-    width at most ``oracle.tolerance`` and its I(p) is at least the current
-    sweep's; the reported capacity is then that I(p).  Otherwise the sweeps
-    go on.  So correctness never rests on the support guess, nor on which
-    inputs were dropped or added; the capacity is nondecreasing in
-    ``oracle.max_iterations`` (up to rounding of I(p)), ``iterations``
-    counts sweeps, and a converged result's ``capacity`` is the lower bound
-    of ``capacity_bounds(input_dist, q)``, whose width is at most the
-    tolerance.
+    Acceptance rule.  Each candidate, explicit or polished, is accepted only
+    if its own certificate, computed exactly as ``capacity_bounds`` computes
+    it, has width at most ``oracle.tolerance`` and its I(p) is at least the
+    current sweep's; the reported capacity is then that I(p).  Otherwise the
+    sweeps go on.  So correctness never rests on the explicit answer, the
+    support guess, nor on which inputs were dropped or added; the capacity
+    is nondecreasing in ``oracle.max_iterations`` (up to rounding of I(p)),
+    ``iterations`` counts sweeps, and a converged result's ``capacity`` is
+    the lower bound of ``capacity_bounds(input_dist, q)``, whose width is at
+    most the tolerance.
     """
     cfg = _DEFAULT if cfg is None else cfg
     oracle = _DEFAULT_ORACLE if oracle is None else oracle
@@ -129,6 +142,17 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
         d, lower, upper = _bracket(q, logq, p, cfg.base)
         if upper - lower <= tol:
             return BAResult(lower, p, iteration, True)
+        if iteration == 1 and q.shape[0] == q.shape[1]:
+            with np.errstate(all="ignore"):  # an answer that is not finite is dropped below
+                try:
+                    exact = _muroga(q, logq, cfg.base)[3]
+                except np.linalg.LinAlgError:
+                    exact = None
+            if exact is not None and np.isfinite(exact).all() and exact.min() >= -INPUT_FEASIBILITY_TOL:
+                cand = feasible_input(exact)
+                _, cand_lower, cand_upper = _bracket(q, logq, cand, cfg.base)
+                if cand_upper - cand_lower <= tol and cand_lower >= lower:
+                    return BAResult(cand_lower, cand, iteration, True)
         if iteration == polish_at:
             polish_at *= 2
             polished = _active_set(q, logq, p, cfg.base, tol)

@@ -303,7 +303,8 @@ class TestSolveChannel:
             assert via_muroga.capacity == pytest.approx(via_binary.capacity, abs=1e-10)
 
     def test_nonconvergence_exit_code(self):
-        q = ingest_matrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        # A channel the explicit try at sweep 1 cannot settle.
+        q = ingest_matrix(np.array(INFEASIBLE_3X3))
         result, code = solve_channel(q, "blahut-arimoto", CFG, OracleConfig(max_iterations=2))
         assert code == EXIT_NO_CONVERGENCE
         assert result.diagnostics["iterations"] == 2.0
@@ -407,8 +408,9 @@ class TestRun:
         assert run(["--matrix", str(path)]) == EXIT_BAD_FILE
         assert capsys.readouterr().err == "error: log base must be finite and > 1, got inf\n"
 
-    def test_nonconvergence_still_reports(self, capsys):
-        assert run(["--a", "0", "--c", "0.5", "--method", "blahut-arimoto", "--max-iter", "3"]) == EXIT_NO_CONVERGENCE
+    def test_nonconvergence_still_reports(self, tmp_path, capsys):
+        path = write_channel_file(tmp_path, "inf.json", {"matrix": INFEASIBLE_3X3})
+        assert run(["--matrix", path, "--method", "blahut-arimoto", "--max-iter", "3"]) == EXIT_NO_CONVERGENCE
         result = parse_report(capsys.readouterr().out)
         assert result.method == "blahut_arimoto"
         assert result.diagnostics["iterations"] == 3.0
@@ -621,3 +623,61 @@ class TestCertificate:
             if result.feasible:
                 tol = self.OCFG.tolerance
                 assert lower - tol <= result.capacity <= upper + tol, (cfg.base, method, result)
+
+
+def _bits_bracket(q, p):
+    """(I(p; Q), max_i D(Q_i || pQ)) in bits, by numpy alone.
+
+    The bracket of ``perfbench/check.py``, with output masses floored at
+    1e-300 as the package floors them: an output that no input in use
+    reaches, or whose mass underflows, then gives a large finite divergence
+    instead of an infinite one and a NaN gap.  The floored maximum is within
+    log2(1 + m * 1e-300) of the divergence bound from the distribution
+    max(r, 1e-300) / sum, so it is still an upper bound up to rounding.
+    """
+    log_r = np.log2(np.maximum(p @ q, 1e-300))
+    pos = q > 0.0
+    terms = np.where(pos, q * (np.log2(np.where(pos, q, 1.0)) - log_r[np.newaxis, :]), 0.0)
+    d = terms.sum(axis=1)
+    return float(p @ d), float(d.max())
+
+
+@st.composite
+def odd_matrices(draw):
+    """1..6 x 1..6 channels with subnormal entries and exact or near-duplicate rows."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.dirichlet(np.full(m, draw(st.sampled_from([0.05, 0.3, 1.0]))), size=n)
+    tiny = draw(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]))
+    if tiny:
+        q[rng.random((n, m)) < 0.3] = tiny
+        q /= q.sum(axis=1, keepdims=True)
+    for _ in range(draw(st.integers(0, n - 1))):
+        i, j = rng.integers(0, n, 2)
+        eps = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-8]))
+        q[j] = (1.0 - eps) * q[i] + eps * q[j]
+    return q
+
+
+class TestOddFiles:
+    """Odd channel files under every method exit with a documented code and
+    no traceback, and every report's gap is its own input's bracket."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(odd_matrices())
+    @example(np.array(INFEASIBLE_3X3))
+    @example(np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.1, 0.8]]))
+    @example(np.array([[1.0, 0.0], [1.0 - 5e-324, 5e-324]]))
+    @example(np.array([[0.5, 0.5, 0, 0], [0, 0.5, 0.5, 0], [0.25, 0.5, 0.25, 4e-309], [0.25, 0.25, 0.25, 0.25]]))
+    def test_exit_codes_and_gaps(self, tmp_path_factory, q):
+        path = write_channel_file(tmp_path_factory.mktemp("odd"), "q.json", {"matrix": q.tolist()})
+        for method in METHODS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(["--matrix", path, "--method", method, "--max-iter", "300"])
+            assert code in (EXIT_OK, EXIT_BAD_FILE, EXIT_BAD_MATRIX, EXIT_NO_CONVERGENCE), method
+            assert "Traceback" not in err.getvalue(), method
+            if code in (EXIT_OK, EXIT_NO_CONVERGENCE):
+                result = parse_report(out.getvalue())
+                lower, upper = _bits_bracket(q, np.array(result.optimal_input))
+                assert result.diagnostics["gap"] == pytest.approx(upper - lower, rel=1e-12, abs=1e-12), method

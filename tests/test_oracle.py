@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +19,25 @@ from chancap import (
     capacity_bounds,
     grid_search_binary,
 )
+from chancap import oracle as oracle_module
 from chancap.channel import check_channel
 from chancap.entropy import _DEFAULT, _log_pos, xlogx_star
 from chancap.muroga import SUPPORT_SHARE, _add_input, _muroga
 from chancap.oracle import _DEFAULT_ORACLE, GridResult
+
+
+#: Muroga's explicit input for this channel has a negative entry; the
+#: capacity is attained at (1/2, 0, 1/2).
+INFEASIBLE_3X3 = np.array([[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8]])
+INFEASIBLE_CAPACITY = 0.447067498701919
+#: Exactly singular: LAPACK raises on Muroga's system for it.
+DUPLICATE_ROW_3X3 = np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
+#: Row 3 is the mean of rows 1 and 2 but for a subnormal mass, and the mean's
+#: row entropy is not the mean entropy, so Muroga's x overflows and x - max x
+#: warns unless the explicit try silences it.
+OVERFLOWING_4X4 = np.array(
+    [[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [0.25, 0.5, 0.25, 4e-309], [0.25, 0.25, 0.25, 0.25]]
+)
 
 
 class TestOracleConfig:
@@ -93,7 +109,7 @@ class TestBlahutArimoto:
         for q in (
             binary_channel(0.0, 0.5),
             binary_channel(0.37, 0.41),
-            np.array([[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]),
+            INFEASIBLE_3X3,
         ):
             caps = [
                 blahut_arimoto(q, oracle=OracleConfig(max_iterations=k)).capacity
@@ -103,10 +119,12 @@ class TestBlahutArimoto:
                 assert later >= earlier - 1e-12
 
     def test_iteration_limit_reported(self):
-        res = blahut_arimoto(binary_channel(0.0, 0.5), oracle=OracleConfig(max_iterations=3))
+        # The explicit try settles the Z-channel at sweep 1, so the cap is
+        # reached on a channel whose explicit answer is infeasible.
+        res = blahut_arimoto(INFEASIBLE_3X3, oracle=OracleConfig(max_iterations=3))
         assert not res.converged
         assert res.iterations == 3
-        assert res.capacity <= math.log2(1.25) + 1e-12
+        assert res.capacity <= INFEASIBLE_CAPACITY + 1e-12
 
     def test_converged_gap_is_certified(self):
         q = binary_channel(0.15, 0.6)
@@ -227,13 +245,14 @@ class TestNewtonPolish:
         assert len(solves) <= 12
 
     def test_square_support_is_solved_explicitly(self, solves):
-        """On a square support Muroga's explicit solution, two solves and one
-        residual check, stands in for the Newton steps; Newton alone took
-        three steps, each with its own divergences, on 10 of these 38."""
+        """On a square channel whose optimal input has full support, Muroga's
+        explicit solution, two solves and one certificate, settles it at
+        sweep 1; the polish at sweep 4 spent the same two solves after three
+        more sweeps, and Newton alone three steps on 10 of these 38."""
         for i, q in enumerate(SQUARE_FEASIBLE):
             solves.clear()
             res = blahut_arimoto(q)
-            assert res.converged and res.iterations == 4, i
+            assert res.converged and res.iterations == 1, i
             assert len(solves) <= 2, (i, solves)
             lower, upper = capacity_bounds(res.input_dist, q)
             assert res.capacity == lower
@@ -243,7 +262,7 @@ class TestNewtonPolish:
         """Two equal rows make the guessed support's block exactly singular;
         Newton still solves on it, to the capacity it reached before the
         explicit solution existed."""
-        q = np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
+        q = DUPLICATE_ROW_3X3
         logq = _log_pos(q, 2.0)
         with pytest.raises(np.linalg.LinAlgError):
             _muroga(q, logq, 2.0)
@@ -295,6 +314,69 @@ class TestNewtonPolish:
         ]
         for earlier, later in zip(caps, caps[1:]):
             assert later >= earlier - 1e-12
+
+
+def _raise_singular(*args):
+    raise np.linalg.LinAlgError("explicit try disabled")
+
+
+def _flat_infeasible_squares():
+    """Flat Dirichlet squares, n = 3..8, whose explicit input leaves the simplex."""
+    rng = np.random.default_rng(5)
+    out = []
+    for n in range(3, 9):
+        while len(out) < 3 * (n - 2):
+            q = rng.dirichlet(np.ones(n), size=n)
+            if _muroga(q, _log_pos(q, 2.0), 2.0)[3].min() < -1e-3:
+                out.append(q)
+    return out
+
+
+class TestExplicitTry:
+    """At sweep 1 on a square channel Muroga's explicit answer is tried once.
+    It is returned only under its own certificate; a failed try changes
+    nothing that follows."""
+
+    def test_binary_channels_settle_at_sweep_one(self):
+        rng = np.random.default_rng(11)
+        tried = 0
+        while tried < 1000:
+            a, c = rng.random(2)
+            if abs(c - a) <= 1e-3:
+                continue
+            tried += 1
+            res = blahut_arimoto(binary_channel(a, c))
+            assert res.converged and res.iterations == 1, (a, c)
+            assert res.capacity == pytest.approx(binary_capacity(a, c), abs=1e-12), (a, c)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            binary_channel(0.3, 0.3),
+            DUPLICATE_ROW_3X3,
+            np.array([[1.0, 0.0], [1.0 - 1e-15, 1e-15]]),
+            OVERFLOWING_4X4,
+        ],
+        ids=["equal-rows-2x2", "duplicate-row-3x3", "near-singular-2x2", "overflowing-4x4"],
+    )
+    def test_singular_square_is_quiet(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = blahut_arimoto(q)
+        assert res.converged
+        lower, upper = capacity_bounds(res.input_dist, q)
+        assert res.capacity == lower and upper - lower <= OracleConfig().tolerance
+
+    def test_failed_try_leaves_no_trace(self, monkeypatch):
+        squares = [INFEASIBLE_3X3, *_flat_infeasible_squares()]
+        caps = [OracleConfig(), OracleConfig(max_iterations=2)]
+        tried = [blahut_arimoto(q, oracle=ocfg) for q in squares for ocfg in caps]
+        monkeypatch.setattr(oracle_module, "_muroga", _raise_singular)
+        untried = [blahut_arimoto(q, oracle=ocfg) for q in squares for ocfg in caps]
+        for i, (got, want) in enumerate(zip(tried, untried)):
+            assert got.capacity == want.capacity, i
+            assert got.input_dist.tobytes() == want.input_dist.tobytes(), i
+            assert (got.iterations, got.converged) == (want.iterations, want.converged), i
 
 
 class TestGridSearch:
