@@ -33,6 +33,17 @@ def _check_binary(a, c):
     return a, c
 
 
+def _channel_ac(q):
+    """(a, c) of a checked 2x2 channel, clamped into [0, 1].
+
+    ``check_channel`` admits entries up to 1 + SUM_TOL and leaves none
+    negative, so only the top needs the clamp; the closed form is defined
+    on the closed square alone.
+    """
+    (_, a), (_, c) = q.tolist()
+    return min(a, 1.0), min(c, 1.0)
+
+
 def _wlog2(w, x):
     # Weighted log with the convention w*log2(x) = 0 when w = 0; every call
     # site has x as a factor of w, so x = 0 never reaches log2.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .binary import _check_binary, _closed_form
+from .binary import _channel_ac, _closed_form
 from .channel import _bracket, binary_channel, check_channel
 from .entropy import SUM_TOL, LogConfig, _as_float_array, _log_pos, _unsettled
 from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, feasible_input, muroga_capacity
@@ -202,13 +202,16 @@ def ingest_matrix(raw):
     return check_channel(raw)
 
 
-def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallback_used=False):
+def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallback_used=False, bounds=None):
     """The one place a solver's answer becomes a CapacityResult.
 
     Every report is certified from its own reported input ``p``:
     ``diagnostics["gap"]`` is upper - lower of the bracket, computed as
     ``capacity_bounds(p, q, cfg)`` computes it, on the ingested ``q``
-    without validating either again.
+    without validating either again.  A solver that has already computed
+    that bracket passes it as ``bounds``: Blahut-Arimoto's ``(capacity,
+    upper)`` come from its own ``_bracket`` call on a bitwise-equal channel,
+    so they are the numbers recomputing would give.
     ``r`` is the method's own output distribution; without one the report
     shows ``p Q``.  An explicit answer passes its raw input ``raw`` (``p`` is
     its clamp onto the simplex) and is feasible only when no raw entry is
@@ -217,7 +220,10 @@ def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallbac
     smallest raw entry.  An iterative answer is feasible unless it is a
     fallback.
     """
-    _, lower, upper = _bracket(q, _log_pos(q, cfg.base), p, cfg.base)
+    if bounds is None:
+        _, lower, upper = _bracket(q, _log_pos(q, cfg.base), p, cfg.base)
+    else:
+        lower, upper = bounds
     diagnostics["gap"] = upper - lower
     feasible = not fallback_used
     if raw is not None:
@@ -242,11 +248,13 @@ def _explicit_answer(q, closed_form, cfg):
 
     The binary closed form is one expression in (a, c), defined on the whole
     square: a singular 2x2 channel, a == c, has capacity 0 at the input
-    (1/2, 1/2).  Its diagnostic ``det = c - a`` is the channel's determinant.
+    (1/2, 1/2).  (a, c) are the channel's entries clamped into [0, 1], since
+    a checked entry may exceed 1 by rounding.  The diagnostic ``det = c - a``
+    is their determinant.
     Muroga raises SingularChannelError on a singular channel.
     """
     if closed_form:
-        a, c = _check_binary(q[0, 1], q[1, 1])
+        a, c = _channel_ac(q)
         capacity, p, r = _closed_form(a, c)
         diag = {"det": c - a}
         return "binary_closed_form", capacity / math.log(cfg.base), np.array(p), np.array(r), diag
@@ -295,7 +303,7 @@ def solve_channel(q, method, cfg, ocfg):
         diag.update(muroga_capacity_raw=fallback, oracle_capacity=res.capacity)
     result = _report(
         q, cfg, ocfg, "blahut_arimoto", res.capacity, res.input_dist, None, diag,
-        fallback_used=fallback is not None,
+        fallback_used=fallback is not None, bounds=(res.capacity, res.upper),
     )
     return result, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 

@@ -339,7 +339,7 @@ def _newton_support(q, logq, p, base, tol, support=None):
 
 
 def _active_set(q, logq, p, base, tol):
-    """Muroga's system on an active set: a certified ``(lower, input)`` or None.
+    """Muroga's system on an active set: a certified ``(lower, input, upper)`` or None.
 
     ``q`` is a checked channel of any shape, ``logq`` its masked log_b and
     ``p`` the start.  ``_newton_support`` solves the system on the support
@@ -347,8 +347,8 @@ def _active_set(q, logq, p, base, tol):
     otherwise, dropping inputs as it goes; while a candidate's bracket is
     wider than ``tol``, the input with the largest divergence joins
     (``_add_input``), at most m times, unless it is already in the
-    support.  ``lower`` is the lower bound of the accepted candidate's
-    bracket, computed as ``capacity_bounds`` computes it.
+    support.  ``lower`` and ``upper`` are the accepted candidate's bracket,
+    computed as ``capacity_bounds`` computes it.
     """
     start, support = p, None
     for _ in range(q.shape[1] + 1):
@@ -358,7 +358,7 @@ def _active_set(q, logq, p, base, tol):
             return None
         d, lower, upper = _bracket(q, logq, cand, base)
         if upper - lower <= tol:
-            return lower, cand
+            return lower, cand, upper
         j = int(np.argmax(d))
         if cand[j] > 0.0:
             return None

@@ -1,12 +1,14 @@
 """Iterative capacity solvers with a certified optimality gap.
 
 Two oracles: the alternating-maximization scheme (any channel shape),
-which on a square channel tries Muroga's explicit answer at sweep 1 and
+which on a square channel tries the explicit answer at sweep 1 (the
+binary closed form on a 2x2 channel, Muroga's formula on a larger one) and
 is polished at sweeps 4, 8, 16, ... by Muroga's system on an active set
 (``muroga._active_set``), and a grid search over the input simplex for
 binary channels that returns the best of all its grid points.  Nothing
 either returns is trusted without the bracket, the one certificate that
-the explicit formulas are checked by too.
+the explicit formulas are checked by too; the alternating scheme returns
+both ends of the bracket it accepted, so no caller need compute it again.
 """
 
 import math
@@ -16,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .binary import _channel_ac, _closed_form
 from .channel import _bracket, check_channel
 from .entropy import LogConfig, _DEFAULT, _check_pair, _log_pos, xlogx_star
 from .muroga import INPUT_FEASIBILITY_TOL, _active_set, _muroga, feasible_input
@@ -55,6 +58,7 @@ class BAResult(NamedTuple):
     input_dist: np.ndarray
     iterations: int
     converged: bool
+    upper: float  # certified upper bound on C, from the same bracket as capacity
 
 
 class GridResult(NamedTuple):
@@ -75,7 +79,7 @@ def capacity_bounds(p, q, cfg: LogConfig = None):
 
 
 def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAResult:
-    """Alternating maximization from the uniform input, with certified Muroga shortcuts.
+    """Alternating maximization from the uniform input, with certified explicit shortcuts.
 
     Each sweep computes d_i = sum_j q_ij (log_b q_ij - log_b r_j) against the
     current output distribution r = p Q, and with it the certificate of p:
@@ -89,15 +93,19 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     a square channel with full support this is Muroga's system.
 
     Explicit try.  On a square channel whose bracket at sweep 1 is wider
-    than the tolerance, Muroga's explicit answer (``muroga._muroga``, as in
-    ``muroga_capacity``: two linear solves, no condition-number rule) is
-    evaluated once.  When no entry of its input lies below
-    -``INPUT_FEASIBILITY_TOL``, the input is clamped onto the simplex as
-    ``feasible_input`` does and offered to the acceptance rule below.  An
-    exactly singular channel, an answer that is not finite or one outside
-    the simplex is dropped, and the sweeps go on exactly as without the
-    try.  Every one of 1998 random binary channels (|c - a| > 1e-3)
-    settles at sweep 1 this way, where the polish settled them at sweep 4.
+    than the tolerance, the explicit answer is evaluated once.  On a 2x2
+    channel it is the paper's closed form (``binary._closed_form``) at the
+    channel's (a, c), clamped into [0, 1] as the CLI clamps them: no linear
+    solve, and an input that lies in the simplex on the whole square.  On a
+    larger one it is Muroga's (``muroga._muroga``, as in
+    ``muroga_capacity``: two linear solves, no condition-number rule), and
+    is kept only when no entry of its input lies below
+    -``INPUT_FEASIBILITY_TOL``; an exactly singular channel or an answer
+    that is not finite is dropped too.  A kept input is clamped onto the
+    simplex as ``feasible_input`` does and offered to the acceptance rule
+    below; otherwise the sweeps go on exactly as without the try.  Every
+    one of 1998 random binary channels (|c - a| > 1e-3) settles at sweep 1
+    this way, where the polish settled them at sweep 4.
 
     Support bound.  The optimal output r* is unique, so the optimal inputs
     form a polytope, and each of its vertices has support at most
@@ -126,6 +134,11 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     ``iterations`` counts sweeps, and a converged result's ``capacity`` is
     the lower bound of ``capacity_bounds(input_dist, q)``, whose width is at
     most the tolerance.
+
+    Returned bracket.  On every return, converged or not, ``(capacity,
+    upper)`` is the bracket of ``input_dist`` from the one ``_bracket`` call
+    that accepted it (or, at the iteration cap, last bracketed it): bit for
+    bit ``capacity_bounds(input_dist, q, cfg)``.
     """
     cfg = _DEFAULT if cfg is None else cfg
     oracle = _DEFAULT_ORACLE if oracle is None else oracle
@@ -141,24 +154,33 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
             p = w / w.sum()
         d, lower, upper = _bracket(q, logq, p, cfg.base)
         if upper - lower <= tol:
-            return BAResult(lower, p, iteration, True)
+            return BAResult(lower, p, iteration, True, upper)
         if iteration == 1 and q.shape[0] == q.shape[1]:
-            with np.errstate(all="ignore"):  # an answer that is not finite is dropped below
-                try:
-                    exact = _muroga(q, logq, cfg.base)[3]
-                except np.linalg.LinAlgError:
-                    exact = None
-            if exact is not None and np.isfinite(exact).all() and exact.min() >= -INPUT_FEASIBILITY_TOL:
-                cand = feasible_input(exact)
+            cand = _explicit_input(q, logq, cfg.base)
+            if cand is not None:
                 _, cand_lower, cand_upper = _bracket(q, logq, cand, cfg.base)
                 if cand_upper - cand_lower <= tol and cand_lower >= lower:
-                    return BAResult(cand_lower, cand, iteration, True)
+                    return BAResult(cand_lower, cand, iteration, True, cand_upper)
         if iteration == polish_at:
             polish_at *= 2
             polished = _active_set(q, logq, p, cfg.base, tol)
             if polished is not None and polished[0] >= lower:
-                return BAResult(*polished, iteration, True)
-    return BAResult(lower, p, oracle.max_iterations, False)
+                return BAResult(polished[0], polished[1], iteration, True, polished[2])
+    return BAResult(lower, p, oracle.max_iterations, False, upper)
+
+
+def _explicit_input(q, logq, base):
+    """The input of ``blahut_arimoto``'s explicit try on a checked square channel, or None."""
+    if q.shape[0] == 2:
+        return feasible_input(np.array(_closed_form(*_channel_ac(q))[1]))
+    with np.errstate(all="ignore"):  # an answer that is not finite is dropped below
+        try:
+            exact = _muroga(q, logq, base)[3]
+        except np.linalg.LinAlgError:
+            return None
+    if not (np.isfinite(exact).all() and exact.min() >= -INPUT_FEASIBILITY_TOL):
+        return None
+    return feasible_input(exact)
 
 
 #: Evenly spaced grid indices sampled per coarse pass of the grid search.

@@ -46,6 +46,8 @@ from chancap.cli import (
 )
 
 INFEASIBLE_3X3 = [[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]
+#: A valid file whose a = 1 + 2 ulp lies just outside the closed form's square.
+ABOVE_ONE_2X2 = [[0.0, 1.0000000000000004], [0.5, 0.5]]
 # |c - a| ≈ 1.0e-12: a formula that divides a cancelling difference by c - a
 # gives a raw input of about (-5.1e5, 5.1e5) here.
 NEAR_DEGENERATE_A, NEAR_DEGENERATE_C = 0.5674319950470281, 0.5674319950480301
@@ -201,6 +203,23 @@ class TestSolveChannel:
         assert result.method == "binary_closed_form"
         assert result.capacity == pytest.approx(math.log2(1.25), abs=1e-12)
         assert result.feasible and not result.fallback_used
+
+    @pytest.mark.parametrize("cfg", [CFG, LogConfig(base=math.e)], ids=["bits", "nats"])
+    def test_oracle_reports_the_closed_form_input(self, cfg):
+        """On a 2x2 channel Blahut-Arimoto's sweep-1 try is the closed form,
+        so its report shows the input and gap that auto's does.  Rows as
+        close as |c - a| = 0.0015 can settle at the uniform input first."""
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            a, c = rng.random(2)
+            if abs(c - a) <= 0.1:
+                continue
+            q = binary_channel(a, c)
+            auto, _ = solve_channel(q, "auto", cfg, OCFG)
+            ba, code = solve_channel(q, "blahut-arimoto", cfg, OCFG)
+            assert code == EXIT_OK and ba.diagnostics["iterations"] == 1.0, q
+            assert ba.optimal_input == auto.optimal_input, q
+            assert ba.diagnostics["gap"] == auto.diagnostics["gap"], q
 
     def test_auto_square_uses_explicit_solver(self):
         result, code = solve_channel(ingest_matrix(np.eye(3)), "auto", CFG, OCFG)
@@ -467,6 +486,13 @@ class TestChecksOnce:
             "ingest_matrix": 0,
         }
 
+    def test_oracle_report_reuses_its_bracket(self, monkeypatch, capsys):
+        # Sweep 1 and the closed-form try; the report takes the accepted one's.
+        counts = count_calls(monkeypatch, "chancap.channel._bracket")
+        assert run(["--a", "0.3", "--c", "0.9", "--method", "blahut-arimoto"]) == EXIT_OK
+        capsys.readouterr()
+        assert counts == {"_bracket": 2}
+
     def test_file_channel_is_ingested_once(self, monkeypatch, tmp_path, capsys):
         # auto on an infeasible square channel: ingest, then Muroga and BA each
         # check the channel they are given.
@@ -656,12 +682,19 @@ def odd_matrices(draw):
         i, j = rng.integers(0, n, 2)
         eps = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-8]))
         q[j] = (1.0 - eps) * q[i] + eps * q[j]
+    # A row that puts its mass 1 + k ulp on one output, as a file may carry
+    # it: the row sum passes the check, and the entry lies above 1.
+    ulps = draw(st.sampled_from([0, 0, 1, 2, 4]))
+    if ulps:
+        q[rng.integers(0, n)] = np.eye(m)[rng.integers(0, m)] * (1.0 + ulps * 2.0**-52)
     return q
 
 
 class TestOddFiles:
     """Odd channel files under every method exit with a documented code and
-    no traceback, and every report's gap is its own input's bracket."""
+    no traceback, and every report's gap is its own input's bracket.  A file
+    that ingests is refused (exit 3) only by a method that does not take its
+    shape, or by Muroga's singularity rule."""
 
     @settings(deadline=None, max_examples=80)
     @given(odd_matrices())
@@ -669,15 +702,36 @@ class TestOddFiles:
     @example(np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.1, 0.8]]))
     @example(np.array([[1.0, 0.0], [1.0 - 5e-324, 5e-324]]))
     @example(np.array([[0.5, 0.5, 0, 0], [0, 0.5, 0.5, 0], [0.25, 0.5, 0.25, 4e-309], [0.25, 0.25, 0.25, 0.25]]))
+    @example(np.array(ABOVE_ONE_2X2))
     def test_exit_codes_and_gaps(self, tmp_path_factory, q):
         path = write_channel_file(tmp_path_factory.mktemp("odd"), "q.json", {"matrix": q.tolist()})
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                ingest_matrix(q)
+            valid = True
+        except ValueError:
+            valid = False
+        n, m = q.shape
+        takes = {"auto": True, "binary": (n, m) == (2, 2), "muroga": False, "blahut-arimoto": True, "grid": n == 2}
         for method in METHODS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run(["--matrix", path, "--method", method, "--max-iter", "300"])
             assert code in (EXIT_OK, EXIT_BAD_FILE, EXIT_BAD_MATRIX, EXIT_NO_CONVERGENCE), method
             assert "Traceback" not in err.getvalue(), method
+            assert not (valid and takes[method] and code == EXIT_BAD_MATRIX), (method, err.getvalue())
             if code in (EXIT_OK, EXIT_NO_CONVERGENCE):
                 result = parse_report(out.getvalue())
                 lower, upper = _bits_bracket(q, np.array(result.optimal_input))
                 assert result.diagnostics["gap"] == pytest.approx(upper - lower, rel=1e-12, abs=1e-12), method
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_entry_above_one_is_solved(self, tmp_path, capsys, method):
+        """An entry 1 + 2 ulp passes the check; the binary closed form takes
+        it as 1, and the report is certified on the file's own entries."""
+        path = write_channel_file(tmp_path, "q.json", {"matrix": ABOVE_ONE_2X2})
+        assert run(["--matrix", path, "--method", method]) == EXIT_OK
+        result = parse_report(capsys.readouterr().out)
+        lower, upper = capacity_bounds(np.array(result.optimal_input), np.array(ABOVE_ONE_2X2))
+        assert result.diagnostics["gap"] == upper - lower
+        assert result.feasible

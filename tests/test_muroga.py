@@ -317,9 +317,10 @@ class TestActiveSet:
                 if got is None:
                     continue
                 answered += 1
-                lower, p = got
+                lower, p, upper = got
                 bounds = capacity_bounds(p, q)
                 assert lower == bounds[0]
+                assert upper == bounds[1]
                 assert bounds[1] - bounds[0] <= tol
                 assert lower == pytest.approx(capacity, abs=1e-12)
         if tol == 1e-9:

@@ -19,10 +19,11 @@ from chancap import (
     capacity_bounds,
     grid_search_binary,
 )
+from chancap import muroga as muroga_module
 from chancap import oracle as oracle_module
 from chancap.channel import check_channel
 from chancap.entropy import _DEFAULT, _log_pos, xlogx_star
-from chancap.muroga import SUPPORT_SHARE, _add_input, _muroga
+from chancap.muroga import SUPPORT_SHARE, _add_input, _muroga, feasible_input
 from chancap.oracle import _DEFAULT_ORACLE, GridResult
 
 
@@ -337,7 +338,17 @@ class TestExplicitTry:
     It is returned only under its own certificate; a failed try changes
     nothing that follows."""
 
-    def test_binary_channels_settle_at_sweep_one(self):
+    def test_binary_channels_settle_at_sweep_one(self, monkeypatch):
+        """A 2x2 channel's try is the paper's closed form in (a, c): no linear
+        solve, and bit for bit the input an auto report shows."""
+        solved = []
+
+        def spy(*args):
+            solved.append(args)
+            return _muroga(*args)
+
+        monkeypatch.setattr(oracle_module, "_muroga", spy)
+        monkeypatch.setattr(muroga_module, "_muroga", spy)
         rng = np.random.default_rng(11)
         tried = 0
         while tried < 1000:
@@ -348,6 +359,9 @@ class TestExplicitTry:
             res = blahut_arimoto(binary_channel(a, c))
             assert res.converged and res.iterations == 1, (a, c)
             assert res.capacity == pytest.approx(binary_capacity(a, c), abs=1e-12), (a, c)
+            want = feasible_input(binary_optimal_input(a, c))
+            assert res.input_dist.tobytes() == want.tobytes(), (a, c)
+        assert solved == []
 
     @pytest.mark.parametrize(
         "q",
@@ -377,6 +391,58 @@ class TestExplicitTry:
             assert got.capacity == want.capacity, i
             assert got.input_dist.tobytes() == want.input_dist.tobytes(), i
             assert (got.iterations, got.converged) == (want.iterations, want.converged), i
+
+
+#: One channel and cap per way out of the loop, with a check that it went that way.
+EXITS = {
+    "uniform-at-sweep-1": (
+        binary_channel(0.1, 0.9), OracleConfig(),
+        lambda res: res.iterations == 1 and np.all(res.input_dist == 0.5),
+    ),
+    "closed-form-try": (
+        binary_channel(0.0, 0.5), OracleConfig(),
+        lambda res: res.iterations == 1 and res.input_dist[0] != 0.5,
+    ),
+    "muroga-try": (
+        SQUARE_FEASIBLE[20], OracleConfig(),
+        lambda res: res.iterations == 1 and np.ptp(res.input_dist) > 0.0,
+    ),
+    "polish": (
+        np.random.default_rng(4).dirichlet(np.ones(4), size=12), OracleConfig(),
+        lambda res: res.converged and res.iterations == 4,
+    ),
+    **{
+        f"cap-{k}": (INFEASIBLE_3X3, OracleConfig(max_iterations=k), lambda res: not res.converged)
+        for k in (1, 2, 3)
+    },
+}
+
+
+class TestReturnedBracket:
+    """``BAResult.upper`` comes from the same bracket as ``capacity``: the
+    pair is ``capacity_bounds(input_dist, q)`` to the bit, however the loop
+    ends, so a report can use it without recomputing."""
+
+    CFGS = (LogConfig(), LogConfig(base=math.e), LogConfig(base=10.0))
+
+    @pytest.mark.parametrize("cfg", CFGS, ids=["bits", "nats", "digits"])
+    @pytest.mark.parametrize("name", sorted(EXITS))
+    def test_each_exit(self, name, cfg):
+        q, ocfg, took_exit = EXITS[name]
+        res = blahut_arimoto(q, cfg, ocfg)
+        assert took_exit(res), res
+        assert (res.capacity, res.upper) == capacity_bounds(res.input_dist, q, cfg)
+
+    @pytest.mark.parametrize("cfg", CFGS, ids=["bits", "nats", "digits"])
+    def test_explicit_try_channels(self, cfg):
+        squares = [
+            binary_channel(0.3, 0.3), DUPLICATE_ROW_3X3, np.array([[1.0, 0.0], [1.0 - 1e-15, 1e-15]]),
+            OVERFLOWING_4X4, INFEASIBLE_3X3, *_flat_infeasible_squares(), *SQUARE_FEASIBLE,
+        ]
+        for i, q in enumerate(squares):
+            for ocfg in (OracleConfig(), OracleConfig(max_iterations=2)):
+                res = blahut_arimoto(q, cfg, ocfg)
+                assert (res.capacity, res.upper) == capacity_bounds(res.input_dist, q, cfg), i
 
 
 class TestGridSearch:
