@@ -21,7 +21,7 @@ DEGENERATE_TOL = 1e-12
 
 
 class DegenerateChannelError(ValueError):
-    """Both rows coincide, so the auxiliary pair's 1/(c - a) factor blows up."""
+    """Both rows coincide or nearly so: Q is singular, and Q x = h has no unique solution."""
 
 
 def _check_binary(a, c):
@@ -44,30 +44,27 @@ def _channel_ac(q):
     return min(a, 1.0), min(c, 1.0)
 
 
-def _wlog2(w, x):
-    # Weighted log with the convention w*log2(x) = 0 when w = 0; every call
-    # site has x as a factor of w, so x = 0 never reaches log2.
-    if w == 0.0:
-        return 0.0
-    return w * math.log2(x)
-
-
 def binary_aux(a, c):
-    """Muroga's auxiliary pair (x1, x2) in bits, which divides by c - a."""
+    """Muroga's auxiliary pair (x1, x2) in bits: the solution of Q x = h, h_i = sum_j Q_ij log2 Q_ij.
+
+    Muroga's r_j = 2^(x_j - C) gives x_j = C + log r_j, taken from the closed
+    form in nats and then changed to bits.  The larger output mass's log is
+    log1p of minus the smaller, which keeps it accurate where that mass
+    nears 1.  A noiseless row, a or c in {0, 1}, reads x_j = h_i = 0 exactly.
+    Raises DegenerateChannelError where Q is singular or nearly so.
+    """
     a, c = _check_binary(a, c)
     if abs(c - a) <= DEGENERATE_TOL:
         raise DegenerateChannelError(f"rows coincide: a={a!r}, c={c!r}")
-    return _aux(a, c)
-
-
-def _aux(a, c):
-    # binary_aux on checked, nondegenerate floats.
-    ap = 1.0 - a
-    cp = 1.0 - c
-    d = c - a
-    x1 = (_wlog2(c * ap, ap) + _wlog2(a * c, a) - _wlog2(a * cp, cp) - _wlog2(a * c, c)) / d
-    x2 = (_wlog2(ap * cp, cp) + _wlog2(ap * c, c) - _wlog2(ap * cp, ap) - _wlog2(a * cp, a)) / d
-    return x1, x2
+    cap, _, (r1, r2) = _closed_form(a, c)
+    x = [
+        (cap + (math.log(r) if r <= other else math.log1p(-other))) / math.log(2.0)
+        for r, other in ((r1, r2), (r2, r1))
+    ]
+    for v in (a, c):
+        if v == 0.0 or v == 1.0:  # the row is e_1 (v = 0) or e_2 (v = 1): it reads x_j = 0
+            x[int(v)] = 0.0
+    return tuple(x)
 
 
 def _rate(t):

@@ -12,6 +12,7 @@ exactly.
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import math
@@ -147,10 +148,14 @@ def read_channel_file(path):
             text = fh.read()
     except OSError as exc:
         raise ChannelFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ChannelFileError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ChannelFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested beyond the parser's depth
+        raise ChannelFileError(f"{path} nests too deeply to parse: {exc}") from exc
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ChannelFileError(f'{path} must be a JSON object with a "matrix" key')
     rows = obj["matrix"]
@@ -377,4 +382,13 @@ def run(argv=None) -> int:
 
 
 def main():
+    """The ``capacity`` console script: ``run()`` on ``sys.argv``, then exit with its code.
+
+    The process ends when ``run()`` returns, so the heap that importing numpy
+    and this package built stays alive to the end.  Freezing it first moves it
+    to the permanent generation, which no later collection visits, not even
+    the full one at interpreter shutdown; a cold call then skips that
+    collection.  In-process callers use ``run()``, whose heap is never frozen.
+    """
+    gc.freeze()
     sys.exit(run())

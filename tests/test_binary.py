@@ -48,6 +48,34 @@ class TestBinaryAux:
         with pytest.raises(ValueError):
             binary_aux(0.2, 1.2)
 
+    def test_agrees_with_a_60_digit_solve(self):
+        # Reference: Q x = h solved by Cramer's rule in 60-digit arithmetic on
+        # the float a and c.  Each x_j = C + log2 r_j is measured against the
+        # terms it sums, C + |log2 r_j|, which bounds the error for every
+        # channel, including those where x_j nears 0.  The closed form's C
+        # and r each carry a few ulps, so the bound is 4e-15, about twice the
+        # largest error seen over 66 000 such channels.
+        mp = pytest.importorskip("mpmath")
+
+        def xlog2x(v):
+            return v * mp.log(v, 2) if v > 0 else mp.mpf(0)
+
+        rng = np.random.default_rng(20)
+        channels = [(0.3, 0.3 + 1e-9)]
+        while len(channels) < 400:
+            a = rng.random()
+            c = a + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-11.0, 0.0)
+            if 0.0 <= c <= 1.0:
+                channels.append((float(a), float(c)))
+        for a, c in channels:
+            with mp.workdps(60):
+                ma, mc = mp.mpf(a), mp.mpf(c)
+                h1, h2 = xlog2x(1 - ma) + xlog2x(ma), xlog2x(1 - mc) + xlog2x(mc)
+                ref = ((mc * h1 - ma * h2) / (mc - ma), ((1 - ma) * h2 - (1 - mc) * h1) / (mc - ma))
+                cap = mp.log(2 ** ref[0] + 2 ** ref[1], 2)
+                for x, x_ref in zip(binary_aux(a, c), ref):
+                    assert abs(x - x_ref) <= 4e-15 * (cap + abs(x_ref - cap)), (a, c)
+
 
 class TestBinaryCapacity:
     def test_degenerate_line_is_exactly_zero(self):

@@ -1,6 +1,7 @@
 """Command line front end: file ingest, solver dispatch, deterministic reports."""
 
 import contextlib
+import gc
 import importlib
 import io
 import itertools
@@ -39,6 +40,7 @@ from chancap.cli import (
     ChannelFileError,
     emit_report,
     ingest_matrix,
+    main,
     parse_report,
     read_channel_file,
     run,
@@ -54,6 +56,14 @@ NEAR_DEGENERATE_A, NEAR_DEGENERATE_C = 0.5674319950470281, 0.5674319950480301
 
 CFG = LogConfig()
 OCFG = OracleConfig()
+
+
+#: Files that are no channel file at all: bytes that are not UTF-8, and JSON
+#: nested beyond the depth the parser can recurse to.
+ODD_BYTES = {
+    "latin1.json": '{"matrix": [[1, 0], [0, 1]], "method": "\xe9"}'.encode("latin-1"),
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
+}
 
 
 def binary_q(a, c):
@@ -114,6 +124,13 @@ class TestReadChannelFile:
                     tmp_path, "x.json", {"matrix": [[1.0, 0.0], [0.0, 1.0]], "method": "magic"}
                 )
             )
+
+    @pytest.mark.parametrize("name, reason", [("latin1.json", "not UTF-8"), ("deep.json", "nests too deeply")])
+    def test_odd_bytes(self, tmp_path, name, reason):
+        path = tmp_path / name
+        path.write_bytes(ODD_BYTES[name])
+        with pytest.raises(ChannelFileError, match=reason):
+            read_channel_file(str(path))
 
 
 class TestIngestMatrix:
@@ -395,6 +412,14 @@ class TestRun:
         assert run(["--matrix", str(tmp_path / "none.json")]) == EXIT_BAD_FILE
         capsys.readouterr()
 
+    def test_odd_bytes_exit(self, tmp_path, capsys):
+        for name, data in ODD_BYTES.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert run(["--matrix", str(path)]) == EXIT_BAD_FILE
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: {path} ")
+
     def test_invalid_matrix_exit(self, tmp_path, capsys):
         # The second file's row sum overflows a float although every entry is finite.
         for name, rows in (("m.json", [[0.9, 0.2], [0.5, 0.5]]), ("big.json", [[1e308, 1e308], [0.5, 0.5]])):
@@ -542,6 +567,12 @@ class TestBinaryShortcutAsBuilt:
             assert outputs[0] == outputs[1], (method, a, c)
 
 
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
 class TestConsoleScript:
     @pytest.mark.skipif(shutil.which("capacity") is None, reason="entry point not installed")
     def test_installed_entry_point(self):
@@ -564,6 +595,45 @@ class TestConsoleScript:
         assert proc.returncode == 0
         result = parse_report(proc.stdout)
         assert result.capacity == pytest.approx(math.log2(1.25), abs=1e-12)
+
+    def test_main_freezes_the_heap_and_run_does_not(self, monkeypatch, capsys, unfreeze):
+        argv = ["--a", "-0.2", "--c", "0.5"]
+        frozen = gc.get_freeze_count()
+        code = run(argv)
+        assert gc.get_freeze_count() == frozen
+        monkeypatch.setattr(sys, "argv", ["capacity", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == code == EXIT_BAD_MATRIX
+        assert gc.get_freeze_count() > 0
+        capsys.readouterr()
+
+    def test_console_script_matches_run(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            module, func = tomllib.load(fh)["project"]["scripts"]["capacity"].split(":")
+        script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        unsolved = write_channel_file(tmp_path, "inf.json", {"matrix": INFEASIBLE_3X3})
+        cases = {
+            EXIT_OK: ["--a", "0.1", "--c", "0.6"],
+            EXIT_BAD_FILE: ["--matrix", str(tmp_path / "absent.json")],
+            EXIT_BAD_MATRIX: ["--a", "-0.2", "--c", "0.5"],
+            EXIT_NO_CONVERGENCE: ["--matrix", unsolved, "--method", "blahut-arimoto", "--max-iter", "3"],
+        }
+        for expected, argv in cases.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+            )
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code == expected
+            assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+                code, out.getvalue().encode(), err.getvalue()
+            ), argv
 
 
 class TestCapacityResultInvariants:
