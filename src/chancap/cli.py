@@ -16,6 +16,7 @@ import gc
 import itertools
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, fields
 
@@ -170,13 +171,13 @@ def read_channel_file(path):
         for r in rows:
             for v in r:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ChannelFileError(f"matrix entries must be numbers, got {v!r}")
+                    raise ChannelFileError(f"matrix entries must be numbers, got {reprlib.repr(v)}")
     base = obj.get("base")
     if base is not None and (isinstance(base, bool) or not isinstance(base, (int, float))):
-        raise ChannelFileError(f'"base" must be a number, got {base!r}')
+        raise ChannelFileError(f'"base" must be a number, got {reprlib.repr(base)}')
     method = obj.get("method")
     if method is not None and method not in METHODS:
-        raise ChannelFileError(f'"method" must be one of {METHODS}, got {method!r}')
+        raise ChannelFileError(f'"method" must be one of {METHODS}, got {reprlib.repr(method)}')
     return np.array(rows, dtype=float), base, method
 
 

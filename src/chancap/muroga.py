@@ -18,10 +18,10 @@ solver in that case.
 the public ``solve`` and ``inverse`` expose the rule on any square matrix.
 
 For Q of any shape, ``_active_set`` solves the same system on a support S
-that grows and shrinks, d_S = C and sum p_S = 1, and returns an input only
-with a certified bracket.  When S and the outputs it reaches form a square
-block, ``_muroga`` solves it, with no condition-number rule; Newton's method
-solves the other supports and those the formula's answer does not settle.
+that grows and shrinks, d_S = C and sum p_S = 1, by Newton's method, and
+returns an input only with a certified bracket.  The formula itself is
+tried once per square channel, before any support is guessed, by
+``oracle.blahut_arimoto`` at its first sweep.
 """
 
 import math
@@ -246,23 +246,10 @@ def _newton_support(q, logq, p, base, tol, support=None):
     step that makes some p_S non-positive shrinks S and starts again from
     ``p`` on what is left, so S only shrinks here, and only the caller adds.
 
-    Square supports.  When Q_S, restricted to the outputs S reaches, is
-    square, the system has Muroga's explicit solution (``_muroga``, as in
-    ``muroga_capacity``), which the Newton iterates would converge to.
-    Inside the simplex it is the iterate Newton goes on from, returned at
-    once if its residual passes: on a 2x2 channel one explicit solution
-    replaces two or three Newton steps.  Outside the simplex, on a passed
-    support, the most negative input drops, as after a Newton step.  On a
-    guessed support it is ignored and Newton runs from ``p`` as on any
-    other support: the exact solution can lie far from ``p``, and batch
-    drops read from it threw out optimal inputs (one of 6000 random tall
-    channels then settled at sweep 16 instead of 4).  An exactly singular
-    block, or an answer that is not finite, also leaves S to Newton.
-
     Newton.  Since dd_i/dp_l = -sum_j q_ij q_lj / (r_j ln b), the Jacobian
     is -Q_S diag(1/r) Q_S^T / ln b bordered by a column of -1 and a row of
-    1.  Newton starts from ``p`` restricted to S, or from the explicit
-    solution, and an iterate is returned once max |d_S - C| <= tol / 4.
+    1.  Newton starts from ``p`` restricted to S, and an iterate is
+    returned once max |d_S - C| <= tol / 4.
 
     The drop rule.  An optimal input with zero mass has d_i <= C, and one
     with positive mass has d_i = C.  A step that leaves the simplex drops
@@ -285,21 +272,7 @@ def _newton_support(q, logq, p, base, tol, support=None):
         qs = q[support]
         cols = qs.any(axis=0)
         qs, logqs = qs[:, cols], logq[support][:, cols]
-        exact = None
-        if k == qs.shape[1]:
-            try:
-                _, c, _, exact = _muroga(qs, logqs, base)
-            except np.linalg.LinAlgError:
-                pass  # an exactly singular block is left to Newton
-            if exact is not None and not np.isfinite(exact).all():
-                exact = None  # C is finite whenever x is, and p_S is not whenever x is not
-        if exact is not None and exact.min() > 0.0:
-            ps = exact
-        elif exact is not None and not guessed:
-            support = np.delete(support, np.argmin(exact))
-            continue
-        else:
-            ps, c = p[support] / p[support].sum(), None
+        ps, c = p[support] / p[support].sum(), None
         jac = np.zeros((k + 1, k + 1))
         jac[:k, k] = -1.0
         jac[k, :k] = 1.0
@@ -342,13 +315,12 @@ def _active_set(q, logq, p, base, tol):
     """Muroga's system on an active set: a certified ``(lower, input, upper)`` or None.
 
     ``q`` is a checked channel of any shape, ``logq`` its masked log_b and
-    ``p`` the start.  ``_newton_support`` solves the system on the support
-    guessed from ``p``, explicitly on a square block and by Newton
-    otherwise, dropping inputs as it goes; while a candidate's bracket is
-    wider than ``tol``, the input with the largest divergence joins
-    (``_add_input``), at most m times, unless it is already in the
-    support.  ``lower`` and ``upper`` are the accepted candidate's bracket,
-    computed as ``capacity_bounds`` computes it.
+    ``p`` the start.  ``_newton_support`` solves the system by Newton on
+    the support guessed from ``p``, dropping inputs as it goes; while a
+    candidate's bracket is wider than ``tol``, the input with the largest
+    divergence joins (``_add_input``), at most m times, unless it is
+    already in the support.  ``lower`` and ``upper`` are the accepted
+    candidate's bracket, computed as ``capacity_bounds`` computes it.
     """
     start, support = p, None
     for _ in range(q.shape[1] + 1):

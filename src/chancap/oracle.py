@@ -111,18 +111,16 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     form a polytope, and each of its vertices has support at most
     rank Q <= m.  At sweeps 4, 8, 16, ... (doubling, so failed attempts cost
     O(log sweeps) solves) the loop hands p to ``muroga._active_set``, which
-    solves d_S - C = 0, sum p_S = 1 on a support S of at most m inputs
-    guessed from p: by Muroga's explicit formula (``muroga._muroga``, as in
-    ``muroga_capacity``) when S and the outputs it reaches form a square
-    block whose solution lies in the simplex, and by
-    Newton otherwise, which prunes the guess in batches.  It then adds the
-    inputs the certificate flags, dropping one input per step after an add.
+    solves d_S - C = 0, sum p_S = 1 by Newton's method on a support S of at
+    most m inputs guessed from p, pruning the guess in batches, and then
+    adds the inputs the certificate flags, dropping one input per step
+    after an add.  A square support is solved by Newton too: the explicit
+    formula is tried once, at sweep 1, and the polish does not repeat it.
     A batch can discard an optimal input that an add must bring back: on
     6000 random tall channels (128x8 and 96x6, 24 028 sweeps in all) all
-    but five settle at sweep 4, and none later than sweep 16, the same five
-    as with Newton alone.  Of 1200 random square channels (n = 3..8, rows
-    Dirichlet(0.7)), 87 settle at sweep 1 by the explicit try and the other
-    1113 at sweep 4.
+    but five settle at sweep 4, and none later than sweep 16.  Of 1200
+    random square channels (n = 3..8, rows Dirichlet(0.7)), 87 settle at
+    sweep 1 by the explicit try and the other 1113 at sweep 4.
 
     Acceptance rule.  Each candidate, explicit or polished, is accepted only
     if its own certificate, computed exactly as ``capacity_bounds`` computes

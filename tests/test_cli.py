@@ -433,6 +433,24 @@ class TestRun:
             assert run(["--matrix", str(path)]) == EXIT_BAD_MATRIX
             assert capsys.readouterr().err == "error: matrix contains non-finite entries\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"matrix": [[0.5, %s], [0.5, 0.5]]}' % ("[" * 400 + "]" * 400),
+            '{"matrix": [[0.5, %s], [0.5, 0.5]]}' % json.dumps([0.5] * 5000),
+            '{"matrix": [[1, 0], [0.5, 0.5]], "base": "%s"}' % ("2" * 5000),
+            '{"matrix": [[1, 0], [0.5, 0.5]], "method": "%s"}' % ("m" * 5000),
+        ],
+        ids=["deep-entry", "long-entry", "long-base", "long-method"],
+    )
+    def test_bad_value_message_is_short(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(["--matrix", str(path)]) == EXIT_BAD_FILE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert len(captured.err) < 200, captured.err[:300]
+
     def test_singular_with_explicit_muroga_exit(self, capsys):
         assert run(["--a", "0.3", "--c", "0.3", "--method", "muroga"]) == EXIT_BAD_MATRIX
         capsys.readouterr()

@@ -246,10 +246,11 @@ class TestNewtonPolish:
         assert len(solves) <= 12
 
     def test_square_support_is_solved_explicitly(self, solves):
-        """On a square channel whose optimal input has full support, Muroga's
-        explicit solution, two solves and one certificate, settles it at
-        sweep 1; the polish at sweep 4 spent the same two solves after three
-        more sweeps, and Newton alone three steps on 10 of these 38."""
+        """On a square channel whose optimal input has full support, the
+        explicit try at sweep 1 settles it: Muroga's formula, two solves and
+        one certificate, or on a 2x2 channel the closed form with none.  The
+        polish at sweep 4 spent the same two solves after three more sweeps,
+        and Newton alone three steps on 10 of these 38."""
         for i, q in enumerate(SQUARE_FEASIBLE):
             solves.clear()
             res = blahut_arimoto(q)
@@ -259,10 +260,10 @@ class TestNewtonPolish:
             assert res.capacity == lower
             assert upper - lower <= OracleConfig().tolerance
 
-    def test_singular_square_support_falls_back_to_newton(self):
-        """Two equal rows make the guessed support's block exactly singular;
-        Newton still solves on it, to the capacity it reached before the
-        explicit solution existed."""
+    def test_singular_square_is_solved_by_newton(self):
+        """Two equal rows make the channel exactly singular, so the explicit
+        try raises and the polish's Newton steps settle it, to the capacity
+        they reached before the explicit solution existed."""
         q = DUPLICATE_ROW_3X3
         logq = _log_pos(q, 2.0)
         with pytest.raises(np.linalg.LinAlgError):
@@ -321,6 +322,21 @@ def _raise_singular(*args):
     raise np.linalg.LinAlgError("explicit try disabled")
 
 
+@pytest.fixture
+def murogas(monkeypatch):
+    """Arguments of every evaluation of Muroga's formula, through both of
+    its module bindings."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _muroga(*args)
+
+    monkeypatch.setattr(oracle_module, "_muroga", spy)
+    monkeypatch.setattr(muroga_module, "_muroga", spy)
+    return calls
+
+
 def _flat_infeasible_squares():
     """Flat Dirichlet squares, n = 3..8, whose explicit input leaves the simplex."""
     rng = np.random.default_rng(5)
@@ -338,17 +354,9 @@ class TestExplicitTry:
     It is returned only under its own certificate; a failed try changes
     nothing that follows."""
 
-    def test_binary_channels_settle_at_sweep_one(self, monkeypatch):
+    def test_binary_channels_settle_at_sweep_one(self, murogas):
         """A 2x2 channel's try is the paper's closed form in (a, c): no linear
         solve, and bit for bit the input an auto report shows."""
-        solved = []
-
-        def spy(*args):
-            solved.append(args)
-            return _muroga(*args)
-
-        monkeypatch.setattr(oracle_module, "_muroga", spy)
-        monkeypatch.setattr(muroga_module, "_muroga", spy)
         rng = np.random.default_rng(11)
         tried = 0
         while tried < 1000:
@@ -361,7 +369,21 @@ class TestExplicitTry:
             assert res.capacity == pytest.approx(binary_capacity(a, c), abs=1e-12), (a, c)
             want = feasible_input(binary_optimal_input(a, c))
             assert res.input_dist.tobytes() == want.tobytes(), (a, c)
-        assert solved == []
+        assert murogas == []
+
+    def test_polish_does_not_repeat_the_try(self, murogas):
+        """Muroga's formula is evaluated once per square channel, by the try
+        at sweep 1; the polish solves every support by Newton, so neither a
+        square the try cannot settle nor a tall channel sees another."""
+        squares = [INFEASIBLE_3X3, *_flat_infeasible_squares()]
+        for i, q in enumerate(squares):
+            murogas.clear()
+            assert blahut_arimoto(q).converged, i
+            assert len(murogas) == 1, i
+        for q in (STALLING["tall256x16"], np.random.default_rng(4).dirichlet(np.ones(4), size=12)):
+            murogas.clear()
+            assert blahut_arimoto(q).converged
+            assert murogas == []
 
     @pytest.mark.parametrize(
         "q",
