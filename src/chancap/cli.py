@@ -10,8 +10,6 @@ sorted, every real rendered with 17 significant digits so values round-trip
 exactly.
 """
 
-import argparse
-import functools
 import gc
 import itertools
 import json
@@ -314,41 +312,133 @@ def solve_channel(q, method, cfg, ocfg):
     return result, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-@functools.cache
-def _build_parser():
-    # Built once per process: construction costs about as much as a 2x2 solve,
-    # and parse_args leaves the parser as it was, so in-process callers of
-    # run() can share it.
-    parser = argparse.ArgumentParser(
-        prog="capacity",
-        description="Capacity of a discrete memoryless channel from its transition matrix.",
+#: The command line, one row per flag: flag -> (metavar, converter, default,
+#: help text, choices).  A flag with choices shows them as its metavar.
+_FLAGS = {
+    "--matrix": ("PATH", str, None, "JSON channel file", None),
+    "--a": ("A", float, None, "P(output 2 | input 1) for the binary shortcut", None),
+    "--c": ("C", float, None, "P(output 2 | input 2) for the binary shortcut", None),
+    "--base": ("BASE", float, None, "log base (default 2)", None),
+    "--method": (None, str, None, "solver (default auto)", METHODS),
+    "--tol": ("TOL", float, 1e-9, "stopping gap, absolute in the report's units", None),
+    "--max-iter": ("MAX_ITER", int, 100000, "iteration cap", None),
+    "--format": (None, str, "json", "report format (default json)", ("json", "text")),
+}
+_LONG_NAMES = ("--help", *_FLAGS)
+_USAGE_WIDTH = 78
+
+
+def _invocation(flag):
+    metavar, _, _, _, choices = _FLAGS[flag]
+    return f"{flag} {metavar or '{' + ','.join(choices) + '}'}"
+
+
+def _usage():
+    """The usage line, wrapped between flags."""
+    lines = ["usage: capacity"]
+    for part in ["[-h]"] + [f"[{_invocation(flag)}]" for flag in _FLAGS]:
+        if len(lines[-1]) + 1 + len(part) > _USAGE_WIDTH:
+            lines.append(" " * len("usage: capacity"))
+        lines[-1] += " " + part
+    return "\n".join(lines)
+
+
+def _help():
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(_invocation(flag), row[3]) for flag, row in _FLAGS.items()]
+    options = "".join(
+        f"\n  {flag:<22}{text}" if len(flag) <= 20 else f"\n  {flag}\n{'':24}{text}" for flag, text in rows
     )
-    parser.add_argument("--matrix", metavar="PATH", help="JSON channel file")
-    parser.add_argument("--a", type=float, help="P(output 2 | input 1) for the binary shortcut")
-    parser.add_argument("--c", type=float, help="P(output 2 | input 2) for the binary shortcut")
-    parser.add_argument("--base", type=float, default=None, help="log base (default 2)")
-    parser.add_argument("--method", choices=METHODS, default=None, help="solver (default auto)")
-    parser.add_argument("--tol", type=float, default=1e-9, help="iterative stopping gap")
-    parser.add_argument("--max-iter", type=int, default=100000, help="iteration cap")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    return parser
+    return (
+        f"{_usage()}\n\nCapacity of a discrete memoryless channel from its transition matrix."
+        f"\n\noptions:{options}"
+    )
+
+
+def _is_value(token):
+    """Whether ``token`` is a value rather than a flag: it does not start with
+    ``-``, is ``-`` alone, holds a space, or is a number (``-0.2``, ``-1e-3``, ``-inf``)."""
+    if token[:1] != "-" or len(token) == 1 or " " in token:
+        return True
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_args(argv):
+    """The flags of one ``capacity`` command line, by flag, or None for help.
+
+    One pass over ``argv``.  A flag's value is the next token or follows
+    ``=``; a long flag may be shortened to any unique prefix; a repeated flag
+    keeps its last value.  Raises ValueError with the reason on a usage
+    error, and requires exactly one source: ``--matrix`` or both ``--a`` and
+    ``--c``.
+    """
+    opts = {flag: row[2] for flag, row in _FLAGS.items()}
+    extras = []  # reported after the pass, so that a later -h still wins
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":  # what follows is positional, and capacity takes none
+            extras.append(token)
+            extras += tokens
+            break
+        if token == "-h":
+            return None
+        if not token.startswith("--"):
+            extras.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        hits = [name] if name in _LONG_NAMES else [f for f in _LONG_NAMES if f.startswith(name)]
+        if len(hits) > 1:
+            raise ValueError(f"ambiguous option: {token} could match {', '.join(hits)}")
+        if not hits:
+            extras.append(token)
+            continue
+        flag = hits[0]
+        if flag == "--help":
+            if eq:
+                raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
+            return None
+        _, convert, _, _, choices = _FLAGS[flag]
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                raise ValueError(f"argument {flag}: expected one argument")
+        try:
+            value = convert(value)
+        except ValueError:
+            raise ValueError(f"argument {flag}: invalid {convert.__name__} value: {value!r}") from None
+        if choices is not None and value not in choices:
+            allowed = ", ".join(map(repr, choices))
+            raise ValueError(f"argument {flag}: invalid choice: {value!r} (choose from {allowed})")
+        opts[flag] = value
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    if opts["--matrix"] is not None and (opts["--a"] is not None or opts["--c"] is not None):
+        raise ValueError("--matrix and --a/--c are mutually exclusive")
+    if opts["--matrix"] is None and (opts["--a"] is None or opts["--c"] is None):
+        raise ValueError("provide either --matrix or both --a and --c")
+    return opts
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """The ``capacity`` command on ``argv`` (default ``sys.argv[1:]``); returns its exit code."""
     try:
-        args = parser.parse_args(argv)
-        if args.matrix is not None and (args.a is not None or args.c is not None):
-            parser.error("--matrix and --a/--c are mutually exclusive")
-        if args.matrix is None and (args.a is None or args.c is None):
-            parser.error("provide either --matrix or both --a and --c")
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_BAD_FILE
+        opts = _parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"{_usage()}\ncapacity: error: {exc}", file=sys.stderr)
+        return EXIT_BAD_FILE
+    if opts is None:
+        print(_help())
+        return EXIT_OK
 
+    matrix = opts["--matrix"]
     file_base = file_method = None
-    if args.matrix is not None:
+    if matrix is not None:
         try:
-            raw, file_base, file_method = read_channel_file(args.matrix)
+            raw, file_base, file_method = read_channel_file(matrix)
         except ChannelFileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_FILE
@@ -356,29 +446,32 @@ def run(argv=None) -> int:
         # Valid as built: a and c are checked, so every entry lies in [0, 1]
         # and each row sums to 1 within one ulp; ingest would only copy it.
         try:
-            q = binary_channel(args.a, args.c)
+            q = binary_channel(opts["--a"], opts["--c"])
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_MATRIX
 
-    base = args.base if args.base is not None else (file_base if file_base is not None else 2.0)
-    method = args.method if args.method is not None else (file_method or "auto")
+    base, method = opts["--base"], opts["--method"]
+    if base is None:
+        base = 2.0 if file_base is None else file_base
+    if method is None:
+        method = file_method or "auto"
     try:
         cfg = LogConfig(base=float(base))
-        ocfg = OracleConfig(tolerance=args.tol, max_iterations=args.max_iter)
+        ocfg = OracleConfig(tolerance=opts["--tol"], max_iterations=opts["--max-iter"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
 
     try:
-        if args.matrix is not None:
+        if matrix is not None:
             q = ingest_matrix(raw)
         result, code = solve_channel(q, method, cfg, ocfg)
     except (SingularChannelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MATRIX
 
-    print(emit_report(result, args.format))
+    print(emit_report(result, opts["--format"]))
     return code
 
 

@@ -1,5 +1,6 @@
 """Command line front end: file ingest, solver dispatch, deterministic reports."""
 
+import argparse
 import contextlib
 import gc
 import importlib
@@ -38,6 +39,7 @@ from chancap.cli import (
     METHODS,
     CapacityResult,
     ChannelFileError,
+    _parse_args,
     emit_report,
     ingest_matrix,
     main,
@@ -346,6 +348,121 @@ class TestSolveChannel:
         assert result.diagnostics["iterations"] == 2.0
 
 
+def _build_parser():
+    """The argparse front end that ``_parse_args`` replaced, kept as its reference."""
+    parser = argparse.ArgumentParser(
+        prog="capacity",
+        description="Capacity of a discrete memoryless channel from its transition matrix.",
+    )
+    parser.add_argument("--matrix", metavar="PATH", help="JSON channel file")
+    parser.add_argument("--a", type=float, help="P(output 2 | input 1) for the binary shortcut")
+    parser.add_argument("--c", type=float, help="P(output 2 | input 2) for the binary shortcut")
+    parser.add_argument("--base", type=float, default=None, help="log base (default 2)")
+    parser.add_argument("--method", choices=METHODS, default=None, help="solver (default auto)")
+    parser.add_argument("--tol", type=float, default=1e-9, help="iterative stopping gap")
+    parser.add_argument("--max-iter", type=int, default=100000, help="iteration cap")
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    return parser
+
+
+def argparse_reference(argv):
+    """``argv`` as the argparse front end read it, with its two source rules:
+    the flags' values by flag, None for help, or the exit code of a usage error."""
+    parser = _build_parser()
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            args = parser.parse_args(argv)
+            if args.matrix is not None and (args.a is not None or args.c is not None):
+                parser.error("--matrix and --a/--c are mutually exclusive")
+            if args.matrix is None and (args.a is None or args.c is None):
+                parser.error("provide either --matrix or both --a and --c")
+    except SystemExit as exc:
+        return None if exc.code == 0 else exc.code
+    return {"--" + dest.replace("_", "-"): value for dest, value in vars(args).items()}
+
+
+def parsed(argv):
+    """What ``_parse_args`` makes of ``argv``, in the terms of argparse_reference."""
+    try:
+        return _parse_args(argv)
+    except ValueError:
+        return EXIT_BAD_FILE
+
+
+def flags(**values):
+    """Every flag's value: the defaults, updated by ``values`` (``max_iter`` is --max-iter)."""
+    opts = {"--matrix": None, "--a": None, "--c": None, "--base": None, "--method": None,
+            "--tol": 1e-9, "--max-iter": 100000, "--format": "json"}
+    opts.update({"--" + name.replace("_", "-"): value for name, value in values.items()})
+    return opts
+
+
+AC = ["--a", "0.1", "--c", "0.6"]
+#: Command lines on which the parser and the argparse reference agree.
+PARITY_CORPUS = [
+    # every flag, as "--flag value" and as "--flag=value"
+    ["--matrix", "m.json"], ["--matrix=m.json"], AC, ["--a=0.1", "--c=0.6"],
+    [*AC, "--base", "10"], [*AC, "--base=10"], [*AC, "--method", "grid"], [*AC, "--method=grid"],
+    [*AC, "--tol", "1e-6"], [*AC, "--tol=1e-6"], [*AC, "--max-iter", "7"], [*AC, "--max-iter=7"],
+    [*AC, "--format", "text"], [*AC, "--format=text"], ["--matrix", "-"], ["--matrix=--a"],
+    ["--matrix", "-odd name.json"], ["--c", "0.6", "--a", "0.1"],
+    # unique prefixes, and ambiguous ones
+    [*AC, "--meth", "grid"], ["--mat", "m.json"], [*AC, "--max", "5"], [*AC, "--f", "text"],
+    [*AC, "--t", "1e-3"], [*AC, "--b", "3"], [*AC, "--fo=text"], [*AC, "--me=binary"],
+    ["--m", "x"], [*AC, "--m", "x"], [*AC, "--m=x"], [*AC, "--ma", "5"], ["--=x", *AC],
+    # a repeated flag keeps its last value
+    ["--a", "0.3", *AC], [*AC, "--format", "text", "--format", "json"],
+    [*AC, "--method", "grid", "--meth", "binary"], ["--matrix", "x", "--matrix", "y"],
+    # a missing value, at the end and before another flag
+    ["--a", "0.1", "--c"], ["--a", "--c", "0.5"], ["--matrix", "--a", "0.1"], ["--matrix"],
+    ["--a", "-h", "--c", "0.5"], ["--a", "--bogus", "--c", "0.5"],
+    # values that do not convert
+    ["--a", "x", "--c", "0.5"], ["--a", "", "--c", "0.5"], ["--a=", "--c", "0.5"],
+    ["--a=0.1=2", "--c", "0.5"], [*AC, "--max-iter", "1.5"], [*AC, "--max-iter", "1e3"],
+    [*AC, "--max-iter", " 5 "], [*AC, "--max-iter", "9" * 5000], [*AC, "--method", "foo"],
+    [*AC, "--format", "xml"], [*AC, "--format="], [*AC, "--base", "1e400"],
+    # unknown flags, stray positionals and "--"
+    [*AC, "--bogus"], [*AC, "--bogus", "1"], [*AC, "-x"], [*AC, "-a", "0.1"], ["0.5", *AC],
+    [*AC, "extra"], [*AC, "-3"], [*AC, ""], [*AC, "---a"], [*AC, "--"], ["--", *AC],
+    ["--a", "0.1", "--", "--c", "0.6"], [*AC, "--", "x"], ["--a", "--", "0.1", "--c", "0.5"],
+    ["--", "--help"],
+    # negative values that argparse also reads as numbers
+    ["--a", "-0.2", "--c", "0.5"], ["--a", "-.5", "--c", "0.5"], ["--a", "-7", "--c", "0.5"],
+    # help wins over what follows it, and over unrecognized arguments before it
+    ["-h"], ["--help"], ["--h"], ["--he"], [*AC, "--help"], ["--help", "--a", "x"],
+    ["--bogus", "--help"], ["--a", "x", "--help"], ["--help=1"],
+    # the source rules
+    [], ["--a", "0.1"], ["--c", "0.5"], ["--matrix", "m.json", "--a", "0.1"],
+    ["--matrix", "m.json", *AC],
+]
+#: Command lines the parser reads on purpose otherwise than argparse did:
+#: every negative float literal after a flag is its value, and the one pass
+#: stops at help before it meets an ambiguous prefix.
+DELIBERATE = {
+    ("--a", "-1e-3", "--c", "0.5"): flags(a=-1e-3, c=0.5),
+    ("--a", "-inf", "--c", "0.5"): flags(a=-math.inf, c=0.5),
+    ("--a", "-5.", "--c", "0.5"): flags(a=-5.0, c=0.5),
+    ("--help", "--m"): None,
+}
+
+
+class TestParseArgs:
+    @pytest.mark.parametrize("argv", PARITY_CORPUS, ids=lambda argv: " ".join(argv)[:60] or "<none>")
+    def test_matches_argparse(self, argv):
+        assert parsed(argv) == argparse_reference(argv)
+
+    @pytest.mark.parametrize("argv", DELIBERATE, ids=" ".join)
+    def test_deliberate_differences(self, argv):
+        assert parsed(list(argv)) == DELIBERATE[argv] != argparse_reference(list(argv))
+
+    def test_values(self):
+        assert parsed(["--meth=grid", "--a", "-0.2", "--c", "1", "--max", "3", "--f", "text"]) == flags(
+            a=-0.2, c=1.0, method="grid", max_iter=3, format="text"
+        )
+        assert parsed(AC) == flags(a=0.1, c=0.6)
+
+
 class TestRun:
     def test_binary_shortcut(self, capsys):
         assert run(["--a", "0", "--c", "0.5"]) == EXIT_OK
@@ -402,6 +519,29 @@ class TestRun:
     def test_missing_source_is_usage_error(self, capsys):
         assert run([]) == EXIT_BAD_FILE
         capsys.readouterr()
+
+    # -hx is pinned here, not in PARITY_CORPUS: argparse reads it as help from Python 3.13 on.
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--a", "0.1"], ["--m", "x"], ["--a", "x", "--c", "0.5"], [*AC, "--method", "foo"],
+         [*AC, "--bogus"], ["--a", "--c", "0.5"], ["--help=1"], ["-hx"]],
+        ids=lambda argv: " ".join(argv) or "<none>",
+    )
+    def test_usage_error_writes_only_to_stderr(self, capsys, argv):
+        assert run(argv) == EXIT_BAD_FILE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.split("\ncapacity: error: ")
+        assert usage.startswith("usage: capacity [-h] [--matrix PATH]")
+        assert usage.endswith("[--format {json,text}]")
+        assert error.endswith("\n") and "\n" not in error[:-1]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], [*AC, "--help"]])
+    def test_help(self, capsys, argv):
+        assert run(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert_names_every_flag(captured.out)
 
     def test_conflicting_sources_is_usage_error(self, tmp_path, capsys):
         path = write_channel_file(tmp_path, "m.json", {"matrix": [[1.0, 0.0], [0.0, 1.0]]})
@@ -585,6 +725,16 @@ class TestBinaryShortcutAsBuilt:
             assert outputs[0] == outputs[1], (method, a, c)
 
 
+HELP_NAMES = ("-h", "--help", "--matrix", "--a", "--c", "--base", "--method", "--tol", "--max-iter", "--format")
+
+
+def assert_names_every_flag(text):
+    assert text.startswith("usage: capacity ")
+    words = text.replace(",", " ").replace("{", " ").replace("}", " ").split()
+    for name in (*HELP_NAMES, *METHODS):
+        assert name in words, name
+
+
 @pytest.fixture
 def unfreeze():
     yield
@@ -613,6 +763,28 @@ class TestConsoleScript:
         assert proc.returncode == 0
         result = parse_report(proc.stdout)
         assert result.capacity == pytest.approx(math.log2(1.25), abs=1e-12)
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_python_dash_m_help(self, flag):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chancap", flag],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert_names_every_flag(proc.stdout)
+
+    def test_import_leaves_argparse_out(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, chancap.cli; print('argparse' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_main_freezes_the_heap_and_run_does_not(self, monkeypatch, capsys, unfreeze):
         argv = ["--a", "-0.2", "--c", "0.5"]
