@@ -19,14 +19,16 @@ def _divergences(q, logq, r, base):
     # logq = 0 there and the floor keeps logr finite, so the product is an
     # exact 0 and no explicit mask is needed.
     logr = _log_b(np.maximum(r, GRADIENT_OUTPUT_FLOOR), base)
-    return (q * (logq - logr[np.newaxis, :])).sum(axis=1)
+    # np.add.reduce and np.maximum.reduce are what ndarray.sum and .max call,
+    # without their Python wrappers.
+    return np.add.reduce(q * (logq - logr[np.newaxis, :]), axis=1)
 
 
 def _bracket(q, logq, p, base):
     # (d, lower, upper) of p: the one certificate, shared by capacity_bounds,
     # every BA sweep and the active set's acceptance test.
     d = _divergences(q, logq, p @ q, base)
-    return d, float(p @ d), float(d.max())
+    return d, float(p @ d), float(np.maximum.reduce(d))
 
 _DEFAULT = LogConfig()
 

@@ -17,14 +17,15 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .binary import _channel_ac, _closed_form
 from .channel import _bracket, binary_channel, check_channel
 from .entropy import SUM_TOL, LogConfig, _as_float_array, _log_pos, _unsettled
-from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, feasible_input, muroga_capacity
-from .oracle import OracleConfig, blahut_arimoto, grid_search_binary
+from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, _muroga_capacity, feasible_input
+from .oracle import OracleConfig, _blahut_arimoto, _grid_search_binary
 
 EXIT_OK = 0
 EXIT_BAD_FILE = 2
@@ -74,13 +75,14 @@ def _vec(values):
 def emit_report(result: CapacityResult, format: str = "json") -> str:
     """Render a result as deterministic JSON or a small text table."""
     if format == "json":
+        # encode_basestring_ascii is what json.dumps runs on a str.
         diag = ", ".join(
-            json.dumps(k) + ": " + _fmt(result.diagnostics[k]) for k in sorted(result.diagnostics)
+            encode_basestring_ascii(k) + ": " + _fmt(result.diagnostics[k]) for k in sorted(result.diagnostics)
         )
         parts = [
             '"capacity": ' + _fmt(result.capacity),
-            '"units": ' + json.dumps(result.units),
-            '"method": ' + json.dumps(result.method),
+            '"units": ' + encode_basestring_ascii(result.units),
+            '"method": ' + encode_basestring_ascii(result.method),
             '"optimal_input": ' + _vec(result.optimal_input),
             '"optimal_output": ' + _vec(result.optimal_output),
             '"feasible": ' + ("true" if result.feasible else "false"),
@@ -206,16 +208,16 @@ def ingest_matrix(raw):
     return check_channel(raw)
 
 
-def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallback_used=False, bounds=None):
+def _report(q, logq, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallback_used=False, bounds=None):
     """The one place a solver's answer becomes a CapacityResult.
 
     Every report is certified from its own reported input ``p``:
     ``diagnostics["gap"]`` is upper - lower of the bracket, computed as
-    ``capacity_bounds(p, q, cfg)`` computes it, on the ingested ``q``
-    without validating either again.  A solver that has already computed
-    that bracket passes it as ``bounds``: Blahut-Arimoto's ``(capacity,
-    upper)`` come from its own ``_bracket`` call on a bitwise-equal channel,
-    so they are the numbers recomputing would give.
+    ``capacity_bounds(p, q, cfg)`` computes it, on the ingested ``q`` and its
+    masked logs ``logq``, without validating either again.  A solver that
+    has already computed that bracket passes it as ``bounds``:
+    Blahut-Arimoto's ``(capacity, upper)`` come from its own ``_bracket``
+    call on the same channel, so they are the numbers recomputing would give.
     ``r`` is the method's own output distribution; without one the report
     shows ``p Q``.  An explicit answer passes its raw input ``raw`` (``p`` is
     its clamp onto the simplex) and is feasible only when no raw entry is
@@ -225,7 +227,7 @@ def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallbac
     fallback.
     """
     if bounds is None:
-        _, lower, upper = _bracket(q, _log_pos(q, cfg.base), p, cfg.base)
+        _, lower, upper = _bracket(q, logq, p, cfg.base)
     else:
         lower, upper = bounds
     diagnostics["gap"] = upper - lower
@@ -247,7 +249,7 @@ def _report(q, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallbac
     )
 
 
-def _explicit_answer(q, closed_form, cfg):
+def _explicit_answer(q, logq, closed_form, cfg):
     """(method, capacity, raw input, output, diagnostics) of an explicit solver.
 
     The binary closed form is one expression in (a, c), defined on the whole
@@ -262,7 +264,7 @@ def _explicit_answer(q, closed_form, cfg):
         capacity, p, r = _closed_form(a, c)
         diag = {"det": c - a}
         return "binary_closed_form", capacity / math.log(cfg.base), np.array(p), np.array(r), diag
-    sol = muroga_capacity(q, cfg)
+    sol = _muroga_capacity(q, logq, cfg.base)
     return "muroga", sol.capacity, sol.opt_input_raw, sol.opt_output, {}
 
 
@@ -271,25 +273,31 @@ def solve_channel(q, method, cfg, ocfg):
 
     Under auto a 2x2 channel uses the closed form and any other square
     channel Muroga's solution; an infeasible explicit answer falls back to
-    Blahut-Arimoto with ``fallback_used``, a singular channel goes to it
-    directly.  Raises ValueError / SingularChannelError for
+    Blahut-Arimoto with ``fallback_used``, and Blahut-Arimoto's try at sweep
+    1 takes that answer instead of evaluating it again; a channel that
+    Muroga's singularity rule rejects goes to Blahut-Arimoto directly, which
+    makes its own try.  Raises ValueError / SingularChannelError for
     matrix-vs-method mismatches (the CLI maps those to exit 3).
+
+    The solvers run as their private cores, on ``q`` as checked and on its
+    masked logs, taken once here.
     """
     n, m = q.shape
     if method == "binary" and (n, m) != (2, 2):
         raise ValueError(f"binary method needs a 2x2 channel, got {n}x{m}")
     if method == "muroga" and n != m:
         raise ValueError(f"muroga method needs a square channel, got {n}x{m}")
+    logq = _log_pos(q, cfg.base)
     if method == "grid":
-        res = grid_search_binary(q, cfg, ocfg)
+        res = _grid_search_binary(q, cfg, ocfg)
         p = np.array([res.p1, 1.0 - res.p1])
         diag = {"grid_resolution": float(ocfg.grid_resolution)}
-        return _report(q, cfg, ocfg, "grid", res.capacity, p, None, diag), EXIT_OK
-    fallback = None  # the raw explicit capacity, once auto falls back
+        return _report(q, logq, cfg, ocfg, "grid", res.capacity, p, None, diag), EXIT_OK
+    fallback = raw = None  # the raw explicit capacity and input, once auto falls back
     if method != "blahut-arimoto" and n == m:
         closed_form = method == "binary" or (method == "auto" and n == 2)
         try:
-            solver, capacity, raw, r, diag = _explicit_answer(q, closed_form, cfg)
+            solver, capacity, raw, r, diag = _explicit_answer(q, logq, closed_form, cfg)
         except SingularChannelError:
             if method != "auto":
                 raise
@@ -297,16 +305,16 @@ def solve_channel(q, method, cfg, ocfg):
             # Under auto a negative raw input already decides the fallback,
             # so its certificate is not computed.
             if method != "auto" or raw.min() >= -INPUT_FEASIBILITY_TOL:
-                result = _report(q, cfg, ocfg, solver, capacity, feasible_input(raw), r, diag, raw)
+                result = _report(q, logq, cfg, ocfg, solver, capacity, feasible_input(raw), r, diag, raw)
                 if result.feasible or method != "auto":
                     return result, EXIT_OK
             fallback = capacity
-    res = blahut_arimoto(q, cfg, ocfg)
+    res = _blahut_arimoto(q, logq, cfg, ocfg, raw)
     diag = {"iterations": float(res.iterations)}
     if fallback is not None:
         diag.update(muroga_capacity_raw=fallback, oracle_capacity=res.capacity)
     result = _report(
-        q, cfg, ocfg, "blahut_arimoto", res.capacity, res.input_dist, None, diag,
+        q, logq, cfg, ocfg, "blahut_arimoto", res.capacity, res.input_dist, None, diag,
         fallback_used=fallback is not None, bounds=(res.capacity, res.upper),
     )
     return result, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE

@@ -170,7 +170,7 @@ def feasible_input(opt_input_raw):
     p = np.asarray(opt_input_raw, dtype=float).copy()
     p[p < 0.0] = 0.0
     try:
-        total = math.fsum(p)
+        total = math.fsum(p.tolist())
     except OverflowError:  # finite entries whose sum is not
         total = math.inf
     if not (math.isfinite(total) and total > 0.0):
@@ -179,11 +179,23 @@ def feasible_input(opt_input_raw):
 
 
 def muroga_capacity(q, cfg: LogConfig = None) -> MurogaSolution:
-    """Run the full explicit pipeline on a square invertible channel."""
+    """Run the full explicit pipeline on a square invertible channel.
+
+    This entry point checks ``q`` and runs the core, ``_muroga_capacity``, on
+    the checked channel and its masked logs.
+    """
     cfg = _DEFAULT if cfg is None else cfg
     q = _check_square_channel(q)
+    return _muroga_capacity(q, _log_pos(q, cfg.base), cfg.base)
+
+
+def _muroga_capacity(q, logq, base) -> MurogaSolution:
+    """``muroga_capacity`` on a checked square channel ``q`` with masked log_b ``logq``.
+
+    Raises SingularChannelError under the one singularity rule.
+    """
     f = _inverse(q)
-    aux, capacity, r, p_raw = _muroga(q, _log_pos(q, cfg.base), cfg.base)
+    aux, capacity, r, p_raw = _muroga(q, logq, base)
     if -1e-12 < capacity < 0.0:  # roundoff on near-zero-capacity channels
         capacity = 0.0
     feasible = bool(np.all(p_raw >= -INPUT_FEASIBILITY_TOL))

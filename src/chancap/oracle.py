@@ -44,7 +44,7 @@ class OracleConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         for name, least in (("max_iterations", 1), ("grid_resolution", 2)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value!r}")
@@ -137,12 +137,24 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     upper)`` is the bracket of ``input_dist`` from the one ``_bracket`` call
     that accepted it (or, at the iteration cap, last bracketed it): bit for
     bit ``capacity_bounds(input_dist, q, cfg)``.
+
+    This entry point checks ``q`` and runs the core, ``_blahut_arimoto``, on
+    the checked channel and its masked logs.
     """
     cfg = _DEFAULT if cfg is None else cfg
     oracle = _DEFAULT_ORACLE if oracle is None else oracle
     q = check_channel(q)
+    return _blahut_arimoto(q, _log_pos(q, cfg.base), cfg, oracle)
+
+
+def _blahut_arimoto(q, logq, cfg, oracle, explicit=None):
+    """``blahut_arimoto`` on a checked channel ``q`` with masked log_b ``logq``.
+
+    ``explicit`` is the raw input of the square channel's explicit answer
+    when the caller has already evaluated it (``_explicit_input``); without
+    it the try at sweep 1 evaluates the answer itself.
+    """
     tol = oracle.tolerance
-    logq = _log_pos(q, cfg.base)
     ln_base = math.log(cfg.base)
     p = np.full(q.shape[0], 1.0 / q.shape[0])
     polish_at = 4
@@ -154,7 +166,7 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
         if upper - lower <= tol:
             return BAResult(lower, p, iteration, True, upper)
         if iteration == 1 and q.shape[0] == q.shape[1]:
-            cand = _explicit_input(q, logq, cfg.base)
+            cand = _explicit_input(q, logq, cfg.base, explicit)
             if cand is not None:
                 _, cand_lower, cand_upper = _bracket(q, logq, cand, cfg.base)
                 if cand_upper - cand_lower <= tol and cand_lower >= lower:
@@ -167,15 +179,22 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     return BAResult(lower, p, oracle.max_iterations, False, upper)
 
 
-def _explicit_input(q, logq, base):
-    """The input of ``blahut_arimoto``'s explicit try on a checked square channel, or None."""
+def _explicit_input(q, logq, base, exact=None):
+    """The input of ``blahut_arimoto``'s explicit try on a checked square channel, or None.
+
+    ``exact`` is the explicit answer's raw input, the closed form's on a 2x2
+    channel and ``_muroga``'s on a larger one, if already evaluated.
+    """
     if q.shape[0] == 2:
-        return feasible_input(np.array(_closed_form(*_channel_ac(q))[1]))
-    with np.errstate(all="ignore"):  # an answer that is not finite is dropped below
-        try:
-            exact = _muroga(q, logq, base)[3]
-        except np.linalg.LinAlgError:
-            return None
+        if exact is None:
+            exact = np.array(_closed_form(*_channel_ac(q))[1])
+        return feasible_input(exact)
+    if exact is None:
+        with np.errstate(all="ignore"):  # an answer that is not finite is dropped below
+            try:
+                exact = _muroga(q, logq, base)[3]
+            except np.linalg.LinAlgError:
+                return None
     if not (np.isfinite(exact).all() and exact.min() >= -INPUT_FEASIBILITY_TOL):
         return None
     return feasible_input(exact)
@@ -238,10 +257,17 @@ def grid_search_binary(q, cfg: LogConfig = None, oracle: OracleConfig = None) ->
     point, as a full sweep does.  The scan runs in chunks of GRID_CHUNK
     points, carrying the first maximum so far, so memory does not grow
     with R.
+
+    This entry point checks ``q`` and runs the core, ``_grid_search_binary``,
+    on the checked channel.
     """
     cfg = _DEFAULT if cfg is None else cfg
     oracle = _DEFAULT_ORACLE if oracle is None else oracle
-    q = check_channel(q)
+    return _grid_search_binary(check_channel(q), cfg, oracle)
+
+
+def _grid_search_binary(q, cfg, oracle):
+    """``grid_search_binary`` on a checked channel ``q``; raises ValueError unless it has 2 rows."""
     if q.shape[0] != 2:
         raise ValueError(f"grid search needs exactly 2 input rows, got {q.shape[0]}")
     m = q.shape[1]

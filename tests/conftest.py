@@ -33,3 +33,22 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     return orders
+
+
+@pytest.fixture
+def murogas(monkeypatch):
+    """Arguments of every evaluation of Muroga's formula, through both of
+    its module bindings."""
+    from chancap import muroga as muroga_module
+    from chancap import oracle as oracle_module
+
+    calls = []
+    real = muroga_module._muroga
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle_module, "_muroga", spy)
+    monkeypatch.setattr(muroga_module, "_muroga", spy)
+    return calls

@@ -48,6 +48,7 @@ from chancap.cli import (
     run,
     solve_channel,
 )
+from chancap.muroga import _muroga_capacity
 
 INFEASIBLE_3X3 = [[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]
 #: A valid file whose a = 1 + 2 ulp lies just outside the closed form's square.
@@ -206,6 +207,19 @@ class TestReports:
         short = emit_report(self._sample(), "text").splitlines()
         assert short[-1] == "  gap           " + short[-1].split()[1]
 
+    def test_strings_are_quoted_as_json_dumps_quotes_them(self):
+        """Units, method and diagnostics keys holding a quote, a backslash, a
+        non-ASCII character and a control character come out as json.dumps
+        writes them, and the report reads back."""
+        odd = 'q"b\\\u00e9\u2603\n'
+        result = CapacityResult(1.0, odd, odd, (1.0,), (1.0,), True, False, {odd: 0.5, "gap": 0.0})
+        text = emit_report(result)
+        assert '"units": ' + json.dumps(odd) + "," in text
+        assert '"method": ' + json.dumps(odd) + "," in text
+        assert '"diagnostics": {' + json.dumps("gap") + ": 0, " + json.dumps(odd) + ": 0.5}" in text
+        assert text.isascii()
+        assert parse_report(text) == result
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(self._sample(), "yaml")
@@ -268,9 +282,9 @@ class TestSolveChannel:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return muroga_capacity(*args, **kwargs)
+            return _muroga_capacity(*args, **kwargs)
 
-        monkeypatch.setattr("chancap.cli.muroga_capacity", counted)
+        monkeypatch.setattr("chancap.cli._muroga_capacity", counted)
         q = ingest_matrix(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
         result, code = solve_channel(q, "auto", CFG, OCFG)
         assert code == EXIT_OK
@@ -625,10 +639,18 @@ class TestRun:
         assert result.diagnostics["muroga_capacity_raw"] > result.capacity
 
 
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Replace a package function at every module global bound to it."""
+    package = [m for n, m in list(sys.modules.items()) if n == "chancap" or n.startswith("chancap.")]
+    for mod in package:
+        for gname, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, gname, replacement)
+
+
 def count_calls(monkeypatch, *names):
     """Calls of each named package function, through every module global bound to it."""
     counts = {}
-    package = [m for n, m in list(sys.modules.items()) if n == "chancap" or n.startswith("chancap.")]
     for dotted in names:
         home, name = dotted.rsplit(".", 1)
         fn = getattr(importlib.import_module(home), name)
@@ -638,17 +660,28 @@ def count_calls(monkeypatch, *names):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in package:
-            for gname, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, gname, counted)
+        patch_everywhere(monkeypatch, fn, counted)
     return counts
+
+
+def count_channel_logs(monkeypatch):
+    """The 2-D arrays, channels, given to ``_log_pos`` through every module binding."""
+    logged = []
+    real = importlib.import_module("chancap.entropy")._log_pos
+
+    def counted(x, base):
+        if np.ndim(x) == 2:
+            logged.append(x)
+        return real(x, base)
+
+    patch_everywhere(monkeypatch, real, counted)
+    return logged
 
 
 class TestChecksOnce:
     """One run() checks its channel once: on ingest for a file, in _check_binary
-    for --a/--c; the certificate does not check again, and only a solver's
-    public entry point re-checks the channel it is given."""
+    for --a/--c, and takes its masked logs once; the solvers run as their
+    cores on the checked channel, and the certificate does not check again."""
 
     VALIDATORS = (
         "chancap.entropy.check_channel",
@@ -657,17 +690,19 @@ class TestChecksOnce:
         "chancap.cli.ingest_matrix",
     )
 
-    @pytest.mark.parametrize("method, solver_checks", [("auto", 0), ("blahut-arimoto", 1), ("grid", 1)])
-    def test_binary_shortcut(self, monkeypatch, capsys, method, solver_checks):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_binary_shortcut(self, monkeypatch, capsys, method):
         counts = count_calls(monkeypatch, *self.VALIDATORS)
+        logged = count_channel_logs(monkeypatch)
         assert run(["--a", "0.3", "--c", "0.9", "--method", method]) == EXIT_OK
         capsys.readouterr()
         assert counts == {
-            "check_channel": solver_checks,
+            "check_channel": 0,
             "check_distribution": 0,
             "capacity_bounds": 0,
             "ingest_matrix": 0,
         }
+        assert len(logged) == 1, method
 
     def test_oracle_report_reuses_its_bracket(self, monkeypatch, capsys):
         # Sweep 1 and the closed-form try; the report takes the accepted one's.
@@ -677,18 +712,31 @@ class TestChecksOnce:
         assert counts == {"_bracket": 2}
 
     def test_file_channel_is_ingested_once(self, monkeypatch, tmp_path, capsys):
-        # auto on an infeasible square channel: ingest, then Muroga and BA each
-        # check the channel they are given.
+        # auto on an infeasible square channel: ingest checks it, and Muroga
+        # and BA run as cores on the checked channel.
         path = write_channel_file(tmp_path, "inf.json", {"matrix": INFEASIBLE_3X3})
         counts = count_calls(monkeypatch, *self.VALIDATORS)
+        logged = count_channel_logs(monkeypatch)
         assert run(["--matrix", path]) == EXIT_OK
         assert parse_report(capsys.readouterr().out).fallback_used
         assert counts == {
-            "check_channel": 3,
+            "check_channel": 1,
             "check_distribution": 0,
             "capacity_bounds": 0,
             "ingest_matrix": 1,
         }
+        assert len(logged) == 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_method_logs_the_channel_once(self, monkeypatch, tmp_path, capsys, method):
+        matrix = {"binary": [[0.6, 0.4], [0.15, 0.85]], "grid": [[0.6, 0.4, 0.0], [0.15, 0.8, 0.05]]}
+        path = write_channel_file(tmp_path, "q.json", {"matrix": matrix.get(method, INFEASIBLE_3X3)})
+        counts = count_calls(monkeypatch, *self.VALIDATORS)
+        logged = count_channel_logs(monkeypatch)
+        assert run(["--matrix", path, "--method", method]) == EXIT_OK
+        capsys.readouterr()
+        assert counts["check_channel"] == 1
+        assert len(logged) == 1
 
 
 #: a, c over the closed unit square, with its corners, the smallest

@@ -19,7 +19,6 @@ from chancap import (
     capacity_bounds,
     grid_search_binary,
 )
-from chancap import muroga as muroga_module
 from chancap import oracle as oracle_module
 from chancap.channel import check_channel
 from chancap.entropy import _DEFAULT, _log_pos, xlogx_star
@@ -60,7 +59,7 @@ class TestOracleConfig:
             OracleConfig(grid_resolution=1)
 
     @pytest.mark.parametrize("field", ["max_iterations", "grid_resolution"])
-    @pytest.mark.parametrize("value", [1e6, 2.5, 10.0, np.float64(100.0), True, np.True_])
+    @pytest.mark.parametrize("value", [1e6, 2.5, 10.0, np.float64(100.0), True, np.True_, False, np.False_])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             OracleConfig(**{field: value})
@@ -320,21 +319,6 @@ class TestNewtonPolish:
 
 def _raise_singular(*args):
     raise np.linalg.LinAlgError("explicit try disabled")
-
-
-@pytest.fixture
-def murogas(monkeypatch):
-    """Arguments of every evaluation of Muroga's formula, through both of
-    its module bindings."""
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return _muroga(*args)
-
-    monkeypatch.setattr(oracle_module, "_muroga", spy)
-    monkeypatch.setattr(muroga_module, "_muroga", spy)
-    return calls
 
 
 def _flat_infeasible_squares():
