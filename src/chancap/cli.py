@@ -23,9 +23,9 @@ import numpy as np
 
 from .binary import _channel_ac, _closed_form
 from .channel import _bracket, binary_channel, check_channel
-from .entropy import SUM_TOL, LogConfig, _as_float_array, _log_pos, _unsettled
+from .entropy import _DEFAULT as _DEFAULT_LOG, SUM_TOL, LogConfig, _as_float_array, _log_pos, _unsettled
 from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, _muroga_capacity, feasible_input
-from .oracle import OracleConfig, _blahut_arimoto, _grid_search_binary
+from .oracle import _DEFAULT_ORACLE, OracleConfig, _blahut_arimoto, _grid_search_binary
 
 EXIT_OK = 0
 EXIT_BAD_FILE = 2
@@ -61,15 +61,25 @@ def _units(base):
 
 
 def _fmt(x):
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # avoid a stray "-0"
-    return "%.17g" % x
+    return "%.17g" % (float(x) + 0.0)  # adding 0.0 turns -0.0 into 0.0: no stray "-0"
 
 
 def _vec(values):
     # One %-format over every value; adding 0.0 turns -0.0 into 0.0, as _fmt does.
     return "[" + ", ".join(["%.17g"] * len(values)) % tuple(map((0.0).__add__, values)) + "]"
+
+
+#: The JSON report, one field a line in a fixed order.
+_JSON_REPORT = """{
+  "capacity": %s,
+  "units": %s,
+  "method": %s,
+  "optimal_input": %s,
+  "optimal_output": %s,
+  "feasible": %s,
+  "fallback_used": %s,
+  "diagnostics": {%s}
+}"""
 
 
 def emit_report(result: CapacityResult, format: str = "json") -> str:
@@ -79,17 +89,16 @@ def emit_report(result: CapacityResult, format: str = "json") -> str:
         diag = ", ".join(
             encode_basestring_ascii(k) + ": " + _fmt(result.diagnostics[k]) for k in sorted(result.diagnostics)
         )
-        parts = [
-            '"capacity": ' + _fmt(result.capacity),
-            '"units": ' + encode_basestring_ascii(result.units),
-            '"method": ' + encode_basestring_ascii(result.method),
-            '"optimal_input": ' + _vec(result.optimal_input),
-            '"optimal_output": ' + _vec(result.optimal_output),
-            '"feasible": ' + ("true" if result.feasible else "false"),
-            '"fallback_used": ' + ("true" if result.fallback_used else "false"),
-            '"diagnostics": {' + diag + "}",
-        ]
-        return "{\n  " + ",\n  ".join(parts) + "\n}"
+        return _JSON_REPORT % (
+            _fmt(result.capacity),
+            encode_basestring_ascii(result.units),
+            encode_basestring_ascii(result.method),
+            _vec(result.optimal_input),
+            _vec(result.optimal_output),
+            "true" if result.feasible else "false",
+            "true" if result.fallback_used else "false",
+            diag,
+        )
     if format == "text":
         lines = [
             f"capacity        {_fmt(result.capacity)} {result.units}",
@@ -208,7 +217,7 @@ def ingest_matrix(raw):
     return check_channel(raw)
 
 
-def _report(q, logq, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, fallback_used=False, bounds=None):
+def _report(q, logq, cfg, ocfg, method, capacity, p, r, diagnostics, raw_min=None, fallback_used=False, bounds=None):
     """The one place a solver's answer becomes a CapacityResult.
 
     Every report is certified from its own reported input ``p``:
@@ -219,12 +228,12 @@ def _report(q, logq, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, f
     Blahut-Arimoto's ``(capacity, upper)`` come from its own ``_bracket``
     call on the same channel, so they are the numbers recomputing would give.
     ``r`` is the method's own output distribution; without one the report
-    shows ``p Q``.  An explicit answer passes its raw input ``raw`` (``p`` is
-    its clamp onto the simplex) and is feasible only when no raw entry is
-    below -INPUT_FEASIBILITY_TOL and capacity, lower and upper bound all lie
-    within ``ocfg.tolerance`` of each other; an infeasible one records the
-    smallest raw entry.  An iterative answer is feasible unless it is a
-    fallback.
+    shows ``p Q``.  An explicit answer passes the smallest entry ``raw_min``
+    of its raw input (``p`` is that input's clamp onto the simplex) and is
+    feasible only when ``raw_min`` is not below -INPUT_FEASIBILITY_TOL and
+    capacity, lower and upper bound all lie within ``ocfg.tolerance`` of
+    each other; an infeasible one records ``raw_min``.  An iterative answer
+    is feasible unless it is a fallback.
     """
     if bounds is None:
         _, lower, upper = _bracket(q, logq, p, cfg.base)
@@ -232,17 +241,17 @@ def _report(q, logq, cfg, ocfg, method, capacity, p, r, diagnostics, raw=None, f
         lower, upper = bounds
     diagnostics["gap"] = upper - lower
     feasible = not fallback_used
-    if raw is not None:
+    if raw_min is not None:
         span = max(lower, upper, capacity) - min(lower, upper, capacity)
-        feasible = bool(raw.min() >= -INPUT_FEASIBILITY_TOL and span <= ocfg.tolerance)
+        feasible = bool(raw_min >= -INPUT_FEASIBILITY_TOL and span <= ocfg.tolerance)
         if not feasible:
-            diagnostics["min_input_raw"] = float(raw.min())
+            diagnostics["min_input_raw"] = float(raw_min)
     return CapacityResult(
         capacity=capacity,
         units=_units(cfg.base),
         method=method,
         optimal_input=tuple(p.tolist()),
-        optimal_output=tuple((p @ q if r is None else r).tolist()),
+        optimal_output=tuple((p.dot(q) if r is None else r).tolist()),
         feasible=feasible,
         fallback_used=fallback_used,
         diagnostics=diagnostics,
@@ -304,8 +313,9 @@ def solve_channel(q, method, cfg, ocfg):
         else:
             # Under auto a negative raw input already decides the fallback,
             # so its certificate is not computed.
-            if method != "auto" or raw.min() >= -INPUT_FEASIBILITY_TOL:
-                result = _report(q, logq, cfg, ocfg, solver, capacity, feasible_input(raw), r, diag, raw)
+            raw_min = np.minimum.reduce(raw)
+            if method != "auto" or raw_min >= -INPUT_FEASIBILITY_TOL:
+                result = _report(q, logq, cfg, ocfg, solver, capacity, feasible_input(raw), r, diag, raw_min)
                 if result.feasible or method != "auto":
                     return result, EXIT_OK
             fallback = capacity
@@ -333,6 +343,7 @@ _FLAGS = {
     "--format": (None, str, "json", "report format (default json)", ("json", "text")),
 }
 _LONG_NAMES = ("--help", *_FLAGS)
+_DEFAULTS = {flag: row[2] for flag, row in _FLAGS.items()}
 _USAGE_WIDTH = 78
 
 
@@ -384,7 +395,7 @@ def _parse_args(argv):
     error, and requires exactly one source: ``--matrix`` or both ``--a`` and
     ``--c``.
     """
-    opts = {flag: row[2] for flag, row in _FLAGS.items()}
+    opts = _DEFAULTS.copy()
     extras = []  # reported after the pass, so that a later -h still wins
     tokens = iter(argv)
     for token in tokens:
@@ -464,9 +475,16 @@ def run(argv=None) -> int:
         base = 2.0 if file_base is None else file_base
     if method is None:
         method = file_method or "auto"
+    tol, max_iter = opts["--tol"], opts["--max-iter"]
     try:
-        cfg = LogConfig(base=float(base))
-        ocfg = OracleConfig(tolerance=opts["--tol"], max_iterations=opts["--max-iter"])
+        # The default configs are validated once, at import; equal fields
+        # make an equal config, so reusing them changes no report.
+        base = float(base)
+        cfg = _DEFAULT_LOG if base == _DEFAULT_LOG.base else LogConfig(base=base)
+        if tol == _DEFAULT_ORACLE.tolerance and max_iter == _DEFAULT_ORACLE.max_iterations:
+            ocfg = _DEFAULT_ORACLE
+        else:
+            ocfg = OracleConfig(tolerance=tol, max_iterations=max_iter)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE

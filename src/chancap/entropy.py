@@ -48,13 +48,20 @@ def _log_b(x, base):
 
 
 def _log_pos(x, base):
-    """``log_b(x)`` where ``x > 0`` and exactly 0 elsewhere, without warnings.
+    """``log_b(x)`` where ``x > 0`` and exactly +0.0 elsewhere, without warnings.
 
     The masked log behind the convention ``0 * log 0 = 0``: every entry that
-    is not positive gets the value 0, so a zero weight times it is 0.
+    is not positive (zero, -0.0, negative or NaN) gets the value 0, so a zero
+    weight times it is 0.  One masked ufunc writes the positive entries into
+    a zeroed array; the log never sees the others, so it raises no warning.
+    Outside base 2 the division by ``ln b`` leaves the zeros at +0.0 and
+    rounds each log as ``_log_b`` does.  ``x`` is a float array of any shape.
     """
-    pos = x > 0.0
-    return np.where(pos, _log_b(np.where(pos, x, 1.0), base), 0.0)
+    if base == 2.0:
+        return np.log2(x, out=np.zeros(x.shape), where=x > 0.0)
+    out = np.log(x, out=np.zeros(x.shape), where=x > 0.0)
+    out /= math.log(base)
+    return out
 
 
 #: Unit roundoff of float64: round to nearest errs by at most u relative.
@@ -212,12 +219,12 @@ def xlogx_star(x, cfg: LogConfig = None):
     """Continuous extension of ``x * log_b(x)``: exactly 0 at ``x = 0``.
 
     Independent of ``cfg.star_value`` because the weight at zero is zero.
-    Accepts a scalar or an array; negative input raises ``ValueError``.
+    Accepts a scalar or an array; negative or NaN input raises ``ValueError``.
     """
     cfg = cfg or _DEFAULT
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("xlogx_star is undefined for negative values")
+    if not np.all(arr >= 0.0):
+        raise ValueError("xlogx_star is undefined for negative or NaN values")
     out = arr * _log_pos(arr, cfg.base) + 0.0  # + 0.0 turns -0.0 into 0.0
     return float(out) if arr.ndim == 0 else out
 

@@ -19,6 +19,8 @@ from chancap import (
     relabel_inputs,
     relabel_outputs,
 )
+from chancap.channel import GRADIENT_OUTPUT_FLOOR, _bracket
+from chancap.entropy import _log_b, _log_pos
 
 
 class TestCheckChannel:
@@ -172,6 +174,44 @@ class TestMiGradient:
         np.testing.assert_allclose(
             (g2[0] - g2[1]) * math.log(2.0), ge[0] - ge[1], atol=1e-12
         )
+
+
+def bracket_reference(q, logq, p, base):
+    """The certificate through ``@``, ``ndarray.sum`` and ``ndarray.max``."""
+    logr = _log_b(np.maximum(p @ q, GRADIENT_OUTPUT_FLOOR), base)
+    d = (q * (logq - logr[np.newaxis, :])).sum(axis=1)
+    return d, float(p @ d), float(d.max())
+
+
+def _bits(x):
+    return np.array(x, dtype=float).view(np.int64)
+
+
+class TestBracket:
+    """``_bracket`` computes with ``ndarray.dot`` the bits ``@`` computes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("base", [2.0, math.e])
+    def test_matches_matmul_reference(self, seed, base):
+        rng = np.random.default_rng([seed, 2])
+        shapes = [(1, 1), (1, 64), (64, 1), (64, 64), (2, 2)]
+        shapes += [tuple(rng.integers(1, 65, size=2)) for _ in range(40)]
+        for k, (n, m) in enumerate(shapes):
+            q = rng.random((n, m)) ** 3
+            q[rng.random((n, m)) < 0.3] = 0.0
+            q[:, 0] += 1e-3  # every row keeps mass
+            q /= q.sum(axis=1, keepdims=True)
+            if k % 2:
+                q = np.asfortranarray(q)
+            p = rng.dirichlet(np.ones(n))
+            if n > 1 and k % 3 == 0:
+                p[0] = 0.0
+                p /= p.sum()
+            logq = _log_pos(q, base)
+            d, lower, upper = _bracket(q, logq, p, base)
+            d_ref, lower_ref, upper_ref = bracket_reference(q, logq, p, base)
+            np.testing.assert_array_equal(_bits(d), _bits(d_ref))
+            assert _bits([lower, upper]).tolist() == _bits([lower_ref, upper_ref]).tolist(), (n, m)
 
 
 class TestRelabeling:

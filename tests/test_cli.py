@@ -155,6 +155,54 @@ class TestIngestMatrix:
             ingest_matrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
 
+#: Reals at the edges of the %.17g rendering: signed zeros, the least
+#: subnormal and the largest magnitudes.
+EDGE_REALS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0]
+#: Strings that JSON must escape: a quote, a backslash, non-ASCII text.
+EDGE_TEXT = ["bits", "base-10 units", 'q"b', "back\\slash", "\u00e9t\u00e9 \u2603", "gap"]
+
+
+@st.composite
+def report_results(draw):
+    reals = st.one_of(st.sampled_from(EDGE_REALS), st.floats(allow_nan=False, allow_infinity=False))
+    text = st.one_of(st.sampled_from(EDGE_TEXT), st.text(max_size=8))
+    vector = st.lists(reals, max_size=5).map(tuple)
+    return CapacityResult(
+        capacity=draw(reals),
+        units=draw(text),
+        method=draw(text),
+        optimal_input=draw(vector),
+        optimal_output=draw(vector),
+        feasible=draw(st.booleans()),
+        fallback_used=draw(st.booleans()),
+        diagnostics=draw(st.one_of(st.just({}), st.dictionaries(text, reals, min_size=2, max_size=5))),
+    )
+
+
+def joined_report(result):
+    """The JSON report assembled as a list of fields joined by commas."""
+
+    def real(x):
+        x = float(x)
+        return "%.17g" % (0.0 if x == 0.0 else x)
+
+    def vec(values):
+        return "[" + ", ".join(real(v) for v in values) + "]"
+
+    diag = ", ".join(json.dumps(k) + ": " + real(result.diagnostics[k]) for k in sorted(result.diagnostics))
+    parts = [
+        '"capacity": ' + real(result.capacity),
+        '"units": ' + json.dumps(result.units),
+        '"method": ' + json.dumps(result.method),
+        '"optimal_input": ' + vec(result.optimal_input),
+        '"optimal_output": ' + vec(result.optimal_output),
+        '"feasible": ' + ("true" if result.feasible else "false"),
+        '"fallback_used": ' + ("true" if result.fallback_used else "false"),
+        '"diagnostics": {' + diag + "}",
+    ]
+    return "{\n  " + ",\n  ".join(parts) + "\n}"
+
+
 class TestReports:
     def _sample(self):
         result, code = solve_channel(ingest_matrix(np.array([[1.0, 0.0], [0.5, 0.5]])), "auto", CFG, OCFG)
@@ -219,6 +267,18 @@ class TestReports:
         assert '"diagnostics": {' + json.dumps("gap") + ": 0, " + json.dumps(odd) + ": 0.5}" in text
         assert text.isascii()
         assert parse_report(text) == result
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_json_matches_the_list_and_join_rendering(self, data):
+        """The one-template report has the bytes of a report assembled field by
+        field, and reads back as the result it renders."""
+        result = data.draw(report_results())
+        text = emit_report(result)
+        assert text == joined_report(result)
+        again = parse_report(text)
+        assert again == result
+        assert emit_report(again) == text
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -623,6 +683,24 @@ class TestRun:
         path.write_text('{"matrix": [[1, 0], [0.5, 0.5]], "base": 1%s}' % ("0" * 400), encoding="utf-8")
         assert run(["--matrix", str(path)]) == EXIT_BAD_FILE
         assert capsys.readouterr().err == "error: log base must be finite and > 1, got inf\n"
+
+    @pytest.mark.parametrize("method", ["auto", "blahut-arimoto", "grid"])
+    def test_default_settings_spelled_out_change_nothing(self, capsys, method):
+        """Flags that restate the default base, tolerance and cap print the
+        report that no flags print."""
+        argv = ["--a", "0.3", "--c", "0.9", "--method", method]
+        assert run(argv) == EXIT_OK
+        plain = capsys.readouterr()
+        assert run([*argv, "--base", "2", "--tol", "1e-9", "--max-iter", "100000"]) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize(
+        "flags", [["--tol", "0"], ["--tol", "nan"], ["--tol", "-1e-9"], ["--max-iter", "0"], ["--base", "nan"]]
+    )
+    def test_settings_off_the_defaults_are_still_checked(self, capsys, flags):
+        assert run(["--a", "0.3", "--c", "0.9", *flags]) == EXIT_BAD_FILE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_nonconvergence_still_reports(self, tmp_path, capsys):
         path = write_channel_file(tmp_path, "inf.json", {"matrix": INFEASIBLE_3X3})

@@ -21,7 +21,7 @@ from chancap import (
     normalize,
     xlogx_star,
 )
-from chancap.entropy import NEG_CLAMP
+from chancap.entropy import NEG_CLAMP, _log_b, _log_pos
 
 W_VALUES = [0.0, -50.0, 7.0]
 
@@ -113,6 +113,12 @@ class TestXlogxStar:
         with pytest.raises(ValueError):
             xlogx_star(np.array([0.2, -0.2]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="negative or NaN"):
+            xlogx_star(float("nan"))
+        with pytest.raises(ValueError, match="negative or NaN"):
+            xlogx_star(np.array([0.5, np.nan]))
+
     @given(st.floats(min_value=1e-300, max_value=1.0))
     @example(0.8223285658643598)
     def test_matches_plain_xlogx(self, x):
@@ -130,6 +136,60 @@ class TestXlogxStar:
         """
         ref = x * math.log2(x)
         assert abs(xlogx_star(x) - ref) <= 4 * math.ulp(ref)
+
+
+#: Bases of the masked log: 2 takes log2, the others ln and a division.
+LOG_BASES = [2.0, math.e, 10.0, 1.0 + 2.0**-52]
+#: Entries the masked log must send to +0.0, or must take at the extremes.
+LOG_EDGES = [0.0, -0.0, math.nan, -1.0, -math.inf, 5e-324, 1.0 - 2.0**-53, 1.0, 0.5, 1e308, math.inf]
+
+
+def log_pos_reference(x, base):
+    """The masked log as two ``np.where`` around a log of a patched copy."""
+    pos = x > 0.0
+    return np.where(pos, _log_b(np.where(pos, x, 1.0), base), 0.0)
+
+
+def assert_same_bits(actual, expected):
+    """Equal shape and equal bits: +0.0 and -0.0 differ, NaN equals NaN."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(actual).view(np.int64), np.ascontiguousarray(expected).view(np.int64)
+    )
+
+
+class TestLogPos:
+    """``_log_pos`` is one masked ufunc; it gives the reference's bits exactly."""
+
+    @pytest.mark.parametrize("base", LOG_BASES)
+    def test_edges_in_every_shape(self, base):
+        edges = np.array(LOG_EDGES)
+        cases = [np.array(v) for v in LOG_EDGES]  # 0-d
+        cases += [edges, edges[::-1], edges[::2], np.zeros(0)]
+        grid = np.resize(edges, (4, 6))
+        cases += [grid, np.asfortranarray(grid), grid.T, grid[:, 1::2]]
+        for x in cases:
+            assert_same_bits(_log_pos(x, base), log_pos_reference(x, base))
+        assert np.signbit(_log_pos(np.array([-0.0, math.nan, -1.0]), base)).sum() == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(
+            st.one_of(
+                st.sampled_from(LOG_EDGES),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=0.0, max_value=1e-300),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        base=st.sampled_from(LOG_BASES),
+        rows=st.sampled_from([1, 2, 4]),
+    )
+    def test_matches_reference(self, x, base, rows):
+        x = np.array(x[: len(x) - len(x) % rows]).reshape(rows, -1)
+        assert_same_bits(_log_pos(x, base), log_pos_reference(x, base))
+        assert_same_bits(_log_pos(x[0], base), log_pos_reference(x[0], base))
 
 
 class TestCheckDistribution:
