@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .binary import _check_binary
-from .entropy import LogConfig, _check_pair, _log_b, _log_pos, check_channel  # check_channel: re-export
+from .entropy import LogConfig, _DEFAULT, _check_pair, _log_b, _log_pos, check_channel  # check_channel: re-export
 
 #: Output columns with mass below this are excluded from the gradient sum.
 GRADIENT_OUTPUT_FLOOR = 1e-300
@@ -31,8 +31,6 @@ def _bracket(q, logq, p, base):
     # products (tests/test_channel.py) at about half the call overhead.
     d = _divergences(q, logq, p.dot(q), base)
     return d, float(p.dot(d)), float(np.maximum.reduce(d))
-
-_DEFAULT = LogConfig()
 
 
 def binary_channel(a, c):

@@ -24,7 +24,7 @@ import numpy as np
 from .binary import _channel_ac, _closed_form
 from .channel import _bracket, binary_channel, check_channel
 from .entropy import _DEFAULT as _DEFAULT_LOG, SUM_TOL, LogConfig, _as_float_array, _log_pos, _unsettled
-from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, _muroga_capacity, feasible_input
+from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, _inverse, _muroga, feasible_input
 from .oracle import _DEFAULT_ORACLE, OracleConfig, _blahut_arimoto, _grid_search_binary
 
 EXIT_OK = 0
@@ -217,35 +217,16 @@ def ingest_matrix(raw):
     return check_channel(raw)
 
 
-def _report(q, logq, cfg, ocfg, method, capacity, p, r, diagnostics, raw_min=None, fallback_used=False, bounds=None):
+def _report(q, cfg, method, capacity, p, r, diagnostics, bounds, feasible, fallback_used=False):
     """The one place a solver's answer becomes a CapacityResult.
 
-    Every report is certified from its own reported input ``p``:
-    ``diagnostics["gap"]`` is upper - lower of the bracket, computed as
-    ``capacity_bounds(p, q, cfg)`` computes it, on the ingested ``q`` and its
-    masked logs ``logq``, without validating either again.  A solver that
-    has already computed that bracket passes it as ``bounds``:
-    Blahut-Arimoto's ``(capacity, upper)`` come from its own ``_bracket``
-    call on the same channel, so they are the numbers recomputing would give.
-    ``r`` is the method's own output distribution; without one the report
-    shows ``p Q``.  An explicit answer passes the smallest entry ``raw_min``
-    of its raw input (``p`` is that input's clamp onto the simplex) and is
-    feasible only when ``raw_min`` is not below -INPUT_FEASIBILITY_TOL and
-    capacity, lower and upper bound all lie within ``ocfg.tolerance`` of
-    each other; an infeasible one records ``raw_min``.  An iterative answer
-    is feasible unless it is a fallback.
+    ``bounds`` is the certificate ``(lower, upper)`` of the reported input
+    ``p`` on the checked channel ``q``, as ``capacity_bounds(p, q, cfg)``
+    computes it; ``diagnostics["gap"]`` records upper - lower.  ``r`` is the
+    method's own output distribution; without one the report shows ``p Q``.
     """
-    if bounds is None:
-        _, lower, upper = _bracket(q, logq, p, cfg.base)
-    else:
-        lower, upper = bounds
+    lower, upper = bounds
     diagnostics["gap"] = upper - lower
-    feasible = not fallback_used
-    if raw_min is not None:
-        span = max(lower, upper, capacity) - min(lower, upper, capacity)
-        feasible = bool(raw_min >= -INPUT_FEASIBILITY_TOL and span <= ocfg.tolerance)
-        if not feasible:
-            diagnostics["min_input_raw"] = float(raw_min)
     return CapacityResult(
         capacity=capacity,
         units=_units(cfg.base),
@@ -258,34 +239,26 @@ def _report(q, logq, cfg, ocfg, method, capacity, p, r, diagnostics, raw_min=Non
     )
 
 
-def _explicit_answer(q, logq, closed_form, cfg):
-    """(method, capacity, raw input, output, diagnostics) of an explicit solver.
-
-    The binary closed form is one expression in (a, c), defined on the whole
-    square: a singular 2x2 channel, a == c, has capacity 0 at the input
-    (1/2, 1/2).  (a, c) are the channel's entries clamped into [0, 1], since
-    a checked entry may exceed 1 by rounding.  The diagnostic ``det = c - a``
-    is their determinant.
-    Muroga raises SingularChannelError on a singular channel.
-    """
-    if closed_form:
-        a, c = _channel_ac(q)
-        capacity, p, r = _closed_form(a, c)
-        diag = {"det": c - a}
-        return "binary_closed_form", capacity / math.log(cfg.base), np.array(p), np.array(r), diag
-    sol = _muroga_capacity(q, logq, cfg.base)
-    return "muroga", sol.capacity, sol.opt_input_raw, sol.opt_output, {}
-
-
 def solve_channel(q, method, cfg, ocfg):
     """Dispatch a checked channel ``q`` to a solver; returns (CapacityResult, exit code).
 
-    Under auto a 2x2 channel uses the closed form and any other square
-    channel Muroga's solution; an infeasible explicit answer falls back to
+    A square channel has an explicit answer: under ``binary``, and under
+    ``auto`` when 2x2, the closed form at its (a, c), clamped into [0, 1]
+    since a checked entry may exceed 1 by rounding, with the diagnostic
+    ``det = c - a``; otherwise Muroga's formula, which raises
+    SingularChannelError on a channel the singularity rule rejects.  Each
+    explicit answer reports its raw input clamped onto the simplex and is
+    certified there.  It is feasible when no raw entry lies below
+    -INPUT_FEASIBILITY_TOL and its capacity, lower and upper bound lie
+    within ``ocfg.tolerance`` of each other; an infeasible one records its
+    smallest raw entry as ``min_input_raw``.
+
+    Under ``auto`` an infeasible explicit answer falls back to
     Blahut-Arimoto with ``fallback_used``, and Blahut-Arimoto's try at sweep
-    1 takes that answer instead of evaluating it again; a channel that
-    Muroga's singularity rule rejects goes to Blahut-Arimoto directly, which
-    makes its own try.  Raises ValueError / SingularChannelError for
+    1 takes that raw input instead of evaluating it again; a channel that
+    the singularity rule rejects goes to Blahut-Arimoto directly, which
+    makes its own try.  A Blahut-Arimoto or grid answer is feasible unless
+    it is a fallback.  Raises ValueError / SingularChannelError for
     matrix-vs-method mismatches (the CLI maps those to exit 3).
 
     The solvers run as their private cores, on ``q`` as checked and on its
@@ -301,31 +274,41 @@ def solve_channel(q, method, cfg, ocfg):
         res = _grid_search_binary(q, cfg, ocfg)
         p = np.array([res.p1, 1.0 - res.p1])
         diag = {"grid_resolution": float(ocfg.grid_resolution)}
-        return _report(q, logq, cfg, ocfg, "grid", res.capacity, p, None, diag), EXIT_OK
+        _, lower, upper = _bracket(q, logq, p, cfg.base)
+        return _report(q, cfg, "grid", res.capacity, p, None, diag, (lower, upper), True), EXIT_OK
     fallback = raw = None  # the raw explicit capacity and input, once auto falls back
     if method != "blahut-arimoto" and n == m:
-        closed_form = method == "binary" or (method == "auto" and n == 2)
         try:
-            solver, capacity, raw, r, diag = _explicit_answer(q, logq, closed_form, cfg)
+            if method == "binary" or (method == "auto" and n == 2):
+                a, c = _channel_ac(q)
+                capacity, raw, r = _closed_form(a, c)
+                solver, capacity, diag = "binary_closed_form", capacity / math.log(cfg.base), {"det": c - a}
+                raw, r = np.array(raw), np.array(r)
+            else:
+                _inverse(q)
+                _, capacity, r, raw = _muroga(q, logq, cfg.base)
+                solver, diag = "muroga", {}
         except SingularChannelError:
             if method != "auto":
                 raise
         else:
-            # Under auto a negative raw input already decides the fallback,
-            # so its certificate is not computed.
+            p = feasible_input(raw)
+            _, lower, upper = _bracket(q, logq, p, cfg.base)
             raw_min = np.minimum.reduce(raw)
-            if method != "auto" or raw_min >= -INPUT_FEASIBILITY_TOL:
-                result = _report(q, logq, cfg, ocfg, solver, capacity, feasible_input(raw), r, diag, raw_min)
-                if result.feasible or method != "auto":
-                    return result, EXIT_OK
+            span = max(lower, upper, capacity) - min(lower, upper, capacity)
+            feasible = bool(raw_min >= -INPUT_FEASIBILITY_TOL and span <= ocfg.tolerance)
+            if feasible or method != "auto":
+                if not feasible:
+                    diag["min_input_raw"] = float(raw_min)
+                return _report(q, cfg, solver, capacity, p, r, diag, (lower, upper), feasible), EXIT_OK
             fallback = capacity
     res = _blahut_arimoto(q, logq, cfg, ocfg, raw)
     diag = {"iterations": float(res.iterations)}
     if fallback is not None:
         diag.update(muroga_capacity_raw=fallback, oracle_capacity=res.capacity)
     result = _report(
-        q, logq, cfg, ocfg, "blahut_arimoto", res.capacity, res.input_dist, None, diag,
-        fallback_used=fallback is not None, bounds=(res.capacity, res.upper),
+        q, cfg, "blahut_arimoto", res.capacity, res.input_dist, None, diag,
+        (res.capacity, res.upper), fallback is None, fallback_used=fallback is not None,
     )
     return result, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 

@@ -16,6 +16,8 @@ solver in that case.
 
 ``_muroga`` evaluates the formula and ``_inverse`` the singularity rule;
 the public ``solve`` and ``inverse`` expose the rule on any square matrix.
+``muroga_capacity`` is a channel check, then the rule, then the formula;
+the command line runs the same two steps on the channel it has checked.
 
 For Q of any shape, ``_active_set`` solves the same system on a support S
 that grows and shrinks, d_S = C and sum p_S = 1, by Newton's method, and
@@ -117,16 +119,20 @@ def _muroga(q, logq, base):
     """Muroga's formula, above, on a square float matrix: ``(x, C, r, p)``.
 
     ``logq`` is the masked log_b of ``q``; C is taken with the max of x
-    shifted out.  p is the one solution of d = C, sum p = 1, possibly
-    outside the simplex.  Raises ``LinAlgError`` when LAPACK finds ``q``
-    exactly singular; a condition-number rule is the caller's.
+    shifted out, and a C within 1e-12 below 0, roundoff on a near-zero
+    capacity channel, reads 0.  p is the one solution of d = C, sum p = 1,
+    possibly outside the simplex.  Raises ``LinAlgError`` when LAPACK finds
+    ``q`` exactly singular; a condition-number rule is the caller's.
     """
     x = np.linalg.solve(q, (q * logq).sum(axis=1))
     top = x.max()
     w = _exp_b(x - top, base)
     total = w.sum()
     r = w / total
-    return x, float(top + _log_b(total, base)), r, np.linalg.solve(q.T, r)
+    capacity = float(top + _log_b(total, base))
+    if -1e-12 < capacity < 0.0:
+        capacity = 0.0
+    return x, capacity, r, np.linalg.solve(q.T, r)
 
 
 def solve_auxiliary(q, cfg: LogConfig = None):
@@ -181,23 +187,14 @@ def feasible_input(opt_input_raw):
 def muroga_capacity(q, cfg: LogConfig = None) -> MurogaSolution:
     """Run the full explicit pipeline on a square invertible channel.
 
-    This entry point checks ``q`` and runs the core, ``_muroga_capacity``, on
-    the checked channel and its masked logs.
+    Checks ``q``, applies the singularity rule (``_inverse``, which raises
+    SingularChannelError) and evaluates the formula (``_muroga``) on the
+    checked channel and its masked logs.
     """
     cfg = _DEFAULT if cfg is None else cfg
     q = _check_square_channel(q)
-    return _muroga_capacity(q, _log_pos(q, cfg.base), cfg.base)
-
-
-def _muroga_capacity(q, logq, base) -> MurogaSolution:
-    """``muroga_capacity`` on a checked square channel ``q`` with masked log_b ``logq``.
-
-    Raises SingularChannelError under the one singularity rule.
-    """
     f = _inverse(q)
-    aux, capacity, r, p_raw = _muroga(q, logq, base)
-    if -1e-12 < capacity < 0.0:  # roundoff on near-zero-capacity channels
-        capacity = 0.0
+    aux, capacity, r, p_raw = _muroga(q, _log_pos(q, cfg.base), cfg.base)
     feasible = bool(np.all(p_raw >= -INPUT_FEASIBILITY_TOL))
     return MurogaSolution(
         aux=aux,

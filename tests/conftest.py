@@ -37,10 +37,9 @@ def solves(monkeypatch):
 
 @pytest.fixture
 def murogas(monkeypatch):
-    """Arguments of every evaluation of Muroga's formula, through both of
-    its module bindings."""
+    """Arguments of every evaluation of Muroga's formula, through every
+    global name bound to it in any loaded ``chancap`` module."""
     from chancap import muroga as muroga_module
-    from chancap import oracle as oracle_module
 
     calls = []
     real = muroga_module._muroga
@@ -49,6 +48,8 @@ def murogas(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(oracle_module, "_muroga", spy)
-    monkeypatch.setattr(muroga_module, "_muroga", spy)
+    for name, module in list(sys.modules.items()):
+        if name == "chancap" or name.startswith("chancap."):
+            for gname in [g for g, v in vars(module).items() if v is real]:
+                monkeypatch.setattr(module, gname, spy)
     return calls

@@ -48,7 +48,6 @@ from chancap.cli import (
     run,
     solve_channel,
 )
-from chancap.muroga import _muroga_capacity
 
 INFEASIBLE_3X3 = [[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]
 #: A valid file whose a = 1 + 2 ulp lies just outside the closed form's square.
@@ -107,6 +106,11 @@ class TestReadChannelFile:
     def test_missing_matrix_key(self, tmp_path):
         with pytest.raises(ChannelFileError):
             read_channel_file(write_channel_file(tmp_path, "x.json", {"rows": []}))
+
+    @pytest.mark.parametrize("rows", [[], [1, 2]])
+    def test_matrix_not_a_list_of_rows(self, tmp_path, rows):
+        with pytest.raises(ChannelFileError, match="non-empty list of rows"):
+            read_channel_file(write_channel_file(tmp_path, "x.json", {"matrix": rows}))
 
     def test_ragged_rows(self, tmp_path):
         with pytest.raises(ChannelFileError):
@@ -337,19 +341,12 @@ class TestSolveChannel:
         assert calls == [(0.3, 0.9)]
         assert result.capacity == binary_capacity(0.3, 0.9)
 
-    def test_auto_feasible_square_runs_explicit_solver_once(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return _muroga_capacity(*args, **kwargs)
-
-        monkeypatch.setattr("chancap.cli._muroga_capacity", counted)
+    def test_auto_feasible_square_runs_explicit_solver_once(self, murogas):
         q = ingest_matrix(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
         result, code = solve_channel(q, "auto", CFG, OCFG)
         assert code == EXIT_OK
         assert result.method == "muroga" and result.feasible
-        assert len(calls) == 1
+        assert len(murogas) == 1
 
     def test_auto_infeasible_falls_back_to_oracle(self):
         q = ingest_matrix(np.array(INFEASIBLE_3X3))

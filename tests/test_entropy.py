@@ -231,6 +231,8 @@ class TestCheckDistribution:
         np.testing.assert_array_equal(normalize([1e308, 1e308]), [0.5, 0.5])
         with pytest.raises(ValueError):
             normalize([0.0, 0.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            normalize([0.5, -0.1, 0.6])
 
 
 class TestEntropy:

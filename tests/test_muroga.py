@@ -165,6 +165,10 @@ class TestOptimalDistributions:
         assert abs(math.fsum(sol.opt_input_raw) - 1.0) <= 1e-10
         assert sol.opt_input_raw.min() < -INPUT_FEASIBILITY_TOL
 
+    def test_input_wrong_length_raises(self):
+        with pytest.raises(ValueError, match="does not match channel"):
+            optimal_input(np.eye(3), np.array([0.5, 0.5]))
+
     def test_input_singular_raises(self):
         with pytest.raises(SingularChannelError):
             optimal_input(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]))
