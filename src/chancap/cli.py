@@ -16,7 +16,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -119,21 +119,51 @@ def emit_report(result: CapacityResult, format: str = "json") -> str:
     raise ValueError(f"unknown report format {format!r}")
 
 
+def _is_number(v):
+    return type(v) is int or type(v) is float  # the types json reads a number as; never a bool
+
+
+def _is_vector(v):
+    return type(v) is list and all(map(_is_number, v))
+
+
+#: Each report field: the test its JSON value must pass, and what it names.
+_REPORT_FIELDS = {
+    "capacity": (_is_number, "a number"),
+    "units": (lambda v: type(v) is str, "a string"),
+    "method": (lambda v: type(v) is str, "a string"),
+    "optimal_input": (_is_vector, "a list of numbers"),
+    "optimal_output": (_is_vector, "a list of numbers"),
+    "feasible": (lambda v: type(v) is bool, "true or false"),
+    "fallback_used": (lambda v: type(v) is bool, "true or false"),
+    "diagnostics": (lambda v: type(v) is dict and all(map(_is_number, v.values())), "an object of numbers"),
+}
+
+
 def parse_report(text: str) -> CapacityResult:
-    """Inverse of emit_report for the json format."""
-    obj = json.loads(text)
-    expected = {f.name for f in fields(CapacityResult)}
-    if set(obj) != expected:
-        raise ValueError(f"report fields {sorted(obj)} != {sorted(expected)}")
+    """Inverse of emit_report for the json format.
+
+    Each field must hold the JSON type that emit_report writes there;
+    nothing is converted, so a flag written as ``"false"`` or a vector
+    written as an object raises ValueError naming the field.
+    """
+    obj = json.loads(text, parse_int=_json_int)
+    if type(obj) is not dict:
+        raise ValueError(f"a report is a JSON object, got {reprlib.repr(obj)}")
+    if set(obj) != set(_REPORT_FIELDS):
+        raise ValueError(f"report fields {sorted(obj)} != {sorted(_REPORT_FIELDS)}")
+    for name, (ok, kind) in _REPORT_FIELDS.items():
+        if not ok(obj[name]):
+            raise ValueError(f"report field {name!r} must be {kind}, got {reprlib.repr(obj[name])}")
     return CapacityResult(
         capacity=float(obj["capacity"]),
-        units=str(obj["units"]),
-        method=str(obj["method"]),
-        optimal_input=tuple(float(v) for v in obj["optimal_input"]),
-        optimal_output=tuple(float(v) for v in obj["optimal_output"]),
-        feasible=bool(obj["feasible"]),
-        fallback_used=bool(obj["fallback_used"]),
-        diagnostics={str(k): float(v) for k, v in obj["diagnostics"].items()},
+        units=obj["units"],
+        method=obj["method"],
+        optimal_input=tuple(map(float, obj["optimal_input"])),
+        optimal_output=tuple(map(float, obj["optimal_output"])),
+        feasible=obj["feasible"],
+        fallback_used=obj["fallback_used"],
+        diagnostics={k: float(v) for k, v in obj["diagnostics"].items()},
     )
 
 

@@ -1,14 +1,15 @@
 """Iterative capacity solvers with a certified optimality gap.
 
-Two oracles: the alternating-maximization scheme (any channel shape),
-which on a square channel tries the explicit answer at sweep 1 (the
-binary closed form on a 2x2 channel, Muroga's formula on a larger one) and
-is polished at sweeps 4, 8, 16, ... by Muroga's system on an active set
-(``muroga._active_set``), and a grid search over the input simplex for
-binary channels that returns the best of all its grid points.  Nothing
-either returns is trusted without the bracket, the one certificate that
-the explicit formulas are checked by too; the alternating scheme returns
-both ends of the bracket it accepted, so no caller need compute it again.
+Two oracles: the alternating-maximization scheme (any channel shape), which
+on a square channel tries the explicit answer once (the binary closed form
+on a 2x2 channel, before the first sweep; Muroga's formula on a larger one,
+after the first sweep's bracket) and is polished at sweeps 4, 8, 16, ... by
+Muroga's system on an active set (``muroga._active_set``), and a grid search
+over the input simplex for binary channels that returns the best of all its
+grid points.  Nothing either returns is trusted without the bracket, the one
+certificate that the explicit formulas are checked by too; the alternating
+scheme returns both ends of the bracket it accepted, so no caller need
+compute it again.
 """
 
 import math
@@ -92,20 +93,25 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     p_i > 0 and d_i <= C on the rest, with C the capacity and sum p = 1.  On
     a square channel with full support this is Muroga's system.
 
-    Explicit try.  On a square channel whose bracket at sweep 1 is wider
-    than the tolerance, the explicit answer is evaluated once.  On a 2x2
-    channel it is the paper's closed form (``binary._closed_form``) at the
-    channel's (a, c), clamped into [0, 1] as the CLI clamps them: no linear
-    solve, and an input that lies in the simplex on the whole square.  On a
-    larger one it is Muroga's (``muroga._muroga``, as in
-    ``muroga_capacity``: two linear solves, no condition-number rule), and
-    is kept only when no entry of its input lies below
-    -``INPUT_FEASIBILITY_TOL``; an exactly singular channel or an answer
-    that is not finite is dropped too.  A kept input is clamped onto the
-    simplex as ``feasible_input`` does and offered to the acceptance rule
-    below; otherwise the sweeps go on exactly as without the try.  Every
-    one of 1998 random binary channels (|c - a| > 1e-3) settles at sweep 1
-    this way, where the polish settled them at sweep 4.
+    Explicit try.  On a square channel the explicit answer is evaluated
+    once.  On a 2x2 channel it is the paper's closed form
+    (``binary._closed_form``) at the channel's (a, c), clamped into [0, 1]
+    as the CLI clamps them: no linear solve, and an input that lies in the
+    simplex on the whole square.  It is tried before the first sweep, since
+    it costs less than the uniform input's bracket it would otherwise follow
+    and certifies to a few ulps where that bracket can pass with a gap near
+    the tolerance.  On a larger square it is Muroga's (``muroga._muroga``,
+    as in ``muroga_capacity``: two linear solves, no condition-number
+    rule), tried only when the bracket at sweep 1 is wider than the
+    tolerance, since those solves cost more than the uniform bracket that
+    settles every symmetric square alone; it is kept only when no entry of
+    its input lies below -``INPUT_FEASIBILITY_TOL``, and an exactly
+    singular channel or an answer that is not finite is dropped too.  A
+    kept input is clamped onto the simplex as ``feasible_input`` does and
+    offered to the acceptance rule below, and an accepted one returns with
+    ``iterations`` 1; otherwise the sweeps go on exactly as without the
+    try.  Every one of 1998 random binary channels (|c - a| > 1e-3) settles
+    at sweep 1 this way, where the polish settled them at sweep 4.
 
     Support bound.  The optimal output r* is unique, so the optimal inputs
     form a polytope, and each of its vertices has support at most
@@ -124,14 +130,16 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
 
     Acceptance rule.  Each candidate, explicit or polished, is accepted only
     if its own certificate, computed exactly as ``capacity_bounds`` computes
-    it, has width at most ``oracle.tolerance`` and its I(p) is at least the
-    current sweep's; the reported capacity is then that I(p).  Otherwise the
-    sweeps go on.  So correctness never rests on the explicit answer, the
-    support guess, nor on which inputs were dropped or added; the capacity
-    is nondecreasing in ``oracle.max_iterations`` (up to rounding of I(p)),
-    ``iterations`` counts sweeps, and a converged result's ``capacity`` is
-    the lower bound of ``capacity_bounds(input_dist, q)``, whose width is at
-    most the tolerance.
+    it, has width at most ``oracle.tolerance`` and, where a sweep precedes
+    it (every candidate but a 2x2 channel's closed form), its I(p) is at
+    least the current sweep's; the reported capacity is then that I(p).
+    Otherwise the sweeps go on.  So correctness never rests on the explicit
+    answer, the support guess, nor on which inputs were dropped or added;
+    the capacity is nondecreasing in ``oracle.max_iterations`` (up to
+    rounding of I(p)), ``iterations`` counts sweeps, and a converged
+    result's ``capacity`` is the lower bound of
+    ``capacity_bounds(input_dist, q)``, whose width is at most the
+    tolerance.
 
     Returned bracket.  On every return, converged or not, ``(capacity,
     upper)`` is the bracket of ``input_dist`` from the one ``_bracket`` call
@@ -152,11 +160,16 @@ def _blahut_arimoto(q, logq, cfg, oracle, explicit=None):
 
     ``explicit`` is the raw input of the square channel's explicit answer
     when the caller has already evaluated it (``_explicit_input``); without
-    it the try at sweep 1 evaluates the answer itself.
+    it the explicit try evaluates the answer itself.
     """
     tol = oracle.tolerance
+    n, m = q.shape
+    if n == m == 2:
+        settled = _explicit_try(q, logq, cfg.base, explicit, tol)
+        if settled is not None:
+            return settled
     ln_base = math.log(cfg.base)
-    p = np.full(q.shape[0], 1.0 / q.shape[0])
+    p = np.full(n, 1.0 / n)
     polish_at = 4
     for iteration in range(1, oracle.max_iterations + 1):
         if iteration > 1:
@@ -165,18 +178,31 @@ def _blahut_arimoto(q, logq, cfg, oracle, explicit=None):
         d, lower, upper = _bracket(q, logq, p, cfg.base)
         if upper - lower <= tol:
             return BAResult(lower, p, iteration, True, upper)
-        if iteration == 1 and q.shape[0] == q.shape[1]:
-            cand = _explicit_input(q, logq, cfg.base, explicit)
-            if cand is not None:
-                _, cand_lower, cand_upper = _bracket(q, logq, cand, cfg.base)
-                if cand_upper - cand_lower <= tol and cand_lower >= lower:
-                    return BAResult(cand_lower, cand, iteration, True, cand_upper)
+        if iteration == 1 and n == m != 2:
+            settled = _explicit_try(q, logq, cfg.base, explicit, tol, lower)
+            if settled is not None:
+                return settled
         if iteration == polish_at:
             polish_at *= 2
             polished = _active_set(q, logq, p, cfg.base, tol)
             if polished is not None and polished[0] >= lower:
                 return BAResult(polished[0], polished[1], iteration, True, polished[2])
     return BAResult(lower, p, oracle.max_iterations, False, upper)
+
+
+def _explicit_try(q, logq, base, exact, tol, floor=-math.inf):
+    """``blahut_arimoto``'s sweep-1 result at the square channel's explicit answer, or None.
+
+    The answer is accepted when its bracket is at most ``tol`` wide and its
+    I(p) is at least ``floor``, the I(p) of a sweep already made.
+    """
+    cand = _explicit_input(q, logq, base, exact)
+    if cand is None:
+        return None
+    _, lower, upper = _bracket(q, logq, cand, base)
+    if upper - lower <= tol and lower >= floor:
+        return BAResult(lower, cand, 1, True, upper)
+    return None
 
 
 def _explicit_input(q, logq, base, exact=None):
@@ -187,7 +213,7 @@ def _explicit_input(q, logq, base, exact=None):
     """
     if q.shape[0] == 2:
         if exact is None:
-            exact = np.array(_closed_form(*_channel_ac(q))[1])
+            exact = _closed_form(*_channel_ac(q))[1]
         return feasible_input(exact)
     if exact is None:
         with np.errstate(all="ignore"):  # an answer that is not finite is dropped below

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -207,6 +208,21 @@ def joined_report(result):
     return "{\n  " + ",\n  ".join(parts) + "\n}"
 
 
+#: A report that parses; each case of ``MISTYPED_FIELDS`` changes one field of it.
+GOOD_REPORT = {
+    "capacity": 0.32, "units": "bits", "method": "binary_closed_form", "optimal_input": [0.6, 0.4],
+    "optimal_output": [0.8, 0.2], "feasible": True, "fallback_used": False, "diagnostics": {"gap": 0},
+}
+MISTYPED_FIELDS = [
+    ("feasible", "false"), ("fallback_used", "no"), ("feasible", 1), ("fallback_used", None),
+    ("capacity", True), ("capacity", "0.5"), ("capacity", None), ("capacity", [0.5]),
+    ("units", 2), ("method", None), ("method", ["blahut_arimoto"]),
+    ("optimal_output", {"0.5": 1}), ("optimal_input", "0.5"), ("optimal_input", [0.5, True]),
+    ("optimal_input", [[0.5]]), ("optimal_output", [0.5, None]),
+    ("diagnostics", []), ("diagnostics", None), ("diagnostics", {"gap": "0"}), ("diagnostics", {"gap": False}),
+]
+
+
 class TestReports:
     def _sample(self):
         result, code = solve_channel(ingest_matrix(np.array([[1.0, 0.0], [0.5, 0.5]])), "auto", CFG, OCFG)
@@ -288,9 +304,25 @@ class TestReports:
         with pytest.raises(ValueError):
             emit_report(self._sample(), "yaml")
 
-    def test_parse_rejects_missing_fields(self):
-        with pytest.raises(ValueError):
-            parse_report('{"capacity": 1.0}')
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            pytest.param('{"capacity": 1.0}', "report fields", id="missing-fields"),
+            pytest.param("[]", "JSON object", id="array"),
+            pytest.param("1.5", "JSON object", id="number"),
+            pytest.param('"report"', "JSON object", id="string"),
+            *[
+                pytest.param(json.dumps({**GOOD_REPORT, field: value}), repr(field), id=f"{field}={json.dumps(value)}")
+                for field, value in MISTYPED_FIELDS
+            ],
+        ],
+    )
+    def test_parse_rejects_missing_fields(self, text, named):
+        """Each field must hold the JSON type emit_report writes: nothing is
+        converted, and the error names what is wrong."""
+        assert parse_report(json.dumps(GOOD_REPORT)).feasible is True
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse_report(text)
 
 
 class TestSolveChannel:
@@ -303,13 +335,13 @@ class TestSolveChannel:
 
     @pytest.mark.parametrize("cfg", [CFG, LogConfig(base=math.e)], ids=["bits", "nats"])
     def test_oracle_reports_the_closed_form_input(self, cfg):
-        """On a 2x2 channel Blahut-Arimoto's sweep-1 try is the closed form,
-        so its report shows the input and gap that auto's does.  Rows as
-        close as |c - a| = 0.0015 can settle at the uniform input first."""
+        """On a 2x2 channel Blahut-Arimoto tries the closed form before its
+        first sweep, so its report shows the input and gap that auto's does,
+        down to rows as close as |c - a| = 1e-3."""
         rng = np.random.default_rng(17)
         for _ in range(200):
             a, c = rng.random(2)
-            if abs(c - a) <= 0.1:
+            if abs(c - a) <= 1e-3:
                 continue
             q = binary_channel(a, c)
             auto, _ = solve_channel(q, "auto", cfg, OCFG)
@@ -780,11 +812,11 @@ class TestChecksOnce:
         assert len(logged) == 1, method
 
     def test_oracle_report_reuses_its_bracket(self, monkeypatch, capsys):
-        # Sweep 1 and the closed-form try; the report takes the accepted one's.
+        # The closed-form try alone, before sweep 1; the report takes its bracket.
         counts = count_calls(monkeypatch, "chancap.channel._bracket")
         assert run(["--a", "0.3", "--c", "0.9", "--method", "blahut-arimoto"]) == EXIT_OK
         capsys.readouterr()
-        assert counts == {"_bracket": 2}
+        assert counts == {"_bracket": 1}
 
     def test_file_channel_is_ingested_once(self, monkeypatch, tmp_path, capsys):
         # auto on an infeasible square channel: ingest checks it, and Muroga

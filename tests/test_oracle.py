@@ -321,6 +321,11 @@ def _raise_singular(*args):
     raise np.linalg.LinAlgError("explicit try disabled")
 
 
+def _symmetric(n, eps):
+    """The n-ary symmetric channel: each input goes wrong with probability eps, evenly."""
+    return np.full((n, n), eps / (n - 1)) + (1.0 - eps - eps / (n - 1)) * np.eye(n)
+
+
 def _flat_infeasible_squares():
     """Flat Dirichlet squares, n = 3..8, whose explicit input leaves the simplex."""
     rng = np.random.default_rng(5)
@@ -334,25 +339,46 @@ def _flat_infeasible_squares():
 
 
 class TestExplicitTry:
-    """At sweep 1 on a square channel Muroga's explicit answer is tried once.
-    It is returned only under its own certificate; a failed try changes
-    nothing that follows."""
+    """On a square channel the explicit answer is tried once: on a 2x2
+    channel before sweep 1, on a larger one after sweep 1's bracket.  It is
+    returned only under its own certificate; a failed try changes nothing
+    that follows."""
 
     def test_binary_channels_settle_at_sweep_one(self, murogas):
         """A 2x2 channel's try is the paper's closed form in (a, c): no linear
-        solve, and bit for bit the input an auto report shows."""
+        solve, and bit for bit the input an auto report shows.  Rows as close
+        as |c - a| < 5e-3 would often pass at the uniform input too, with a
+        gap up to 1e-9; the closed form comes first and certifies to 1e-15."""
         rng = np.random.default_rng(11)
-        tried = 0
-        while tried < 1000:
+        channels = []
+        while len(channels) < 1000:
             a, c = rng.random(2)
-            if abs(c - a) <= 1e-3:
-                continue
-            tried += 1
-            res = blahut_arimoto(binary_channel(a, c))
-            assert res.converged and res.iterations == 1, (a, c)
-            assert res.capacity == pytest.approx(binary_capacity(a, c), abs=1e-12), (a, c)
-            want = feasible_input(binary_optimal_input(a, c))
-            assert res.input_dist.tobytes() == want.tobytes(), (a, c)
+            if abs(c - a) > 1e-3:
+                channels.append((a, c))
+        close = [(0.5199449268665737, 0.5225572189018213)]  # settled at (1/2, 1/2), gap 3.7e-10, when tried second
+        rng = np.random.default_rng(12)
+        while len(close) < 200:
+            a = rng.random()
+            c = a + rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 5e-3)
+            if 0.0 <= c <= 1.0:
+                close.append((a, c))
+        for near, pairs in ((False, channels), (True, close)):
+            for a, c in pairs:
+                res = blahut_arimoto(binary_channel(a, c))
+                assert res.converged and res.iterations == 1, (a, c)
+                assert res.capacity == pytest.approx(binary_capacity(a, c), abs=1e-12), (a, c)
+                want = feasible_input(binary_optimal_input(a, c))
+                assert res.input_dist.tobytes() == want.tobytes(), (a, c)
+                assert not near or res.upper - res.capacity < 1e-15, (a, c)
+        assert murogas == []
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_symmetric_square_settles_before_the_try(self, murogas, n):
+        """A larger square keeps the uniform bracket first: a symmetric one
+        settles there and never evaluates Muroga's two solves."""
+        res = blahut_arimoto(_symmetric(n, 0.1))
+        assert res.converged and res.iterations == 1
+        assert np.all(res.input_dist == 1.0 / n)
         assert murogas == []
 
     def test_polish_does_not_repeat_the_try(self, murogas):
@@ -402,12 +428,17 @@ class TestExplicitTry:
 #: One channel and cap per way out of the loop, with a check that it went that way.
 EXITS = {
     "uniform-at-sweep-1": (
-        binary_channel(0.1, 0.9), OracleConfig(),
-        lambda res: res.iterations == 1 and np.all(res.input_dist == 0.5),
+        _symmetric(3, 0.1), OracleConfig(),
+        lambda res: res.iterations == 1 and np.all(res.input_dist == 1.0 / 3.0),
     ),
     "closed-form-try": (
         binary_channel(0.0, 0.5), OracleConfig(),
         lambda res: res.iterations == 1 and res.input_dist[0] != 0.5,
+    ),
+    "closed-form-try-bsc": (
+        binary_channel(0.1, 0.9), OracleConfig(),
+        lambda res: res.iterations == 1
+        and res.input_dist.tobytes() == feasible_input(binary_optimal_input(0.1, 0.9)).tobytes(),
     ),
     "muroga-try": (
         SQUARE_FEASIBLE[20], OracleConfig(),
