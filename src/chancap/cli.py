@@ -284,12 +284,15 @@ def solve_channel(q, method, cfg, ocfg):
     smallest raw entry as ``min_input_raw``.
 
     Under ``auto`` an infeasible explicit answer falls back to
-    Blahut-Arimoto with ``fallback_used``, and Blahut-Arimoto's try at sweep
-    1 takes that raw input instead of evaluating it again; a channel that
-    the singularity rule rejects goes to Blahut-Arimoto directly, which
-    makes its own try.  A Blahut-Arimoto or grid answer is feasible unless
-    it is a fallback.  Raises ValueError / SingularChannelError for
-    matrix-vs-method mismatches (the CLI maps those to exit 3).
+    Blahut-Arimoto with ``fallback_used``, and a channel that the
+    singularity rule rejects goes to Blahut-Arimoto directly; neither hands
+    it anything.  On a 2x2 channel Blahut-Arimoto tries the closed form
+    again before its first sweep and accepts it by its bracket alone, so a
+    closed form rejected only by its capacity term, at a tolerance near
+    rounding, returns at sweep 1.  A Blahut-Arimoto or grid answer is
+    feasible unless it is a fallback.  Raises ValueError /
+    SingularChannelError for matrix-vs-method mismatches (the CLI maps those
+    to exit 3).
 
     The solvers run as their private cores, on ``q`` as checked and on its
     masked logs, taken once here.
@@ -306,7 +309,7 @@ def solve_channel(q, method, cfg, ocfg):
         diag = {"grid_resolution": float(ocfg.grid_resolution)}
         _, lower, upper = _bracket(q, logq, p, cfg.base)
         return _report(q, cfg, "grid", res.capacity, p, None, diag, (lower, upper), True), EXIT_OK
-    fallback = raw = None  # the raw explicit capacity and input, once auto falls back
+    fallback = None  # the raw explicit capacity, once auto falls back
     if method != "blahut-arimoto" and n == m:
         try:
             if method == "binary" or (method == "auto" and n == 2):
@@ -332,7 +335,7 @@ def solve_channel(q, method, cfg, ocfg):
                     diag["min_input_raw"] = float(raw_min)
                 return _report(q, cfg, solver, capacity, p, r, diag, (lower, upper), feasible), EXIT_OK
             fallback = capacity
-    res = _blahut_arimoto(q, logq, cfg, ocfg, raw)
+    res = _blahut_arimoto(q, logq, cfg, ocfg)
     diag = {"iterations": float(res.iterations)}
     if fallback is not None:
         diag.update(muroga_capacity_raw=fallback, oracle_capacity=res.capacity)

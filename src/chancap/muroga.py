@@ -21,9 +21,9 @@ the command line runs the same two steps on the channel it has checked.
 
 For Q of any shape, ``_active_set`` solves the same system on a support S
 that grows and shrinks, d_S = C and sum p_S = 1, by Newton's method, and
-returns an input only with a certified bracket.  The formula itself is
-tried once per square channel, before any support is guessed, by
-``oracle.blahut_arimoto`` at its first sweep.
+returns an input only with a certified bracket; ``oracle.blahut_arimoto``
+uses it as its polish.  The formula itself is evaluated only by
+``muroga_capacity``, ``solve_auxiliary`` and the command line.
 """
 
 import math
@@ -81,7 +81,9 @@ def _inverse(a):
 
     ``a`` is singular, and SingularChannelError is raised, when LAPACK raises
     ``LinAlgError`` or when ``rcond = 1 / (||a||_1 * ||F||_1)`` is not
-    >= ``RCOND_TOL``; the "not >=" also rejects a NaN or overflowed ``F``.
+    >= ``RCOND_TOL``; the "not >=" also rejects an overflowed ``F``.  A NaN
+    in ``F`` makes ``rcond`` NaN, and the error then says that the inverse
+    is not finite.
     """
     try:
         f = np.linalg.inv(a)
@@ -90,6 +92,8 @@ def _inverse(a):
     with np.errstate(over="ignore"):
         rcond = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(f, 1))
     if not rcond >= RCOND_TOL:
+        if math.isnan(rcond):
+            raise SingularChannelError("inverse is not finite")
         raise SingularChannelError(f"reciprocal condition number {rcond:g} below {RCOND_TOL:g}")
     return f
 

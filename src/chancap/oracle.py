@@ -1,15 +1,15 @@
 """Iterative capacity solvers with a certified optimality gap.
 
 Two oracles: the alternating-maximization scheme (any channel shape), which
-on a square channel tries the explicit answer once (the binary closed form
-on a 2x2 channel, before the first sweep; Muroga's formula on a larger one,
-after the first sweep's bracket) and is polished at sweeps 4, 8, 16, ... by
-Muroga's system on an active set (``muroga._active_set``), and a grid search
-over the input simplex for binary channels that returns the best of all its
-grid points.  Nothing either returns is trusted without the bracket, the one
-certificate that the explicit formulas are checked by too; the alternating
-scheme returns both ends of the bracket it accepted, so no caller need
-compute it again.
+on a 2x2 channel tries the binary closed form once, before the first sweep,
+and is polished at sweeps 4, 8, 16, ... by Muroga's system on an active set
+(``muroga._active_set``), and a grid search over the input simplex for
+binary channels that returns the best of all its grid points.  Muroga's
+explicit formula is not evaluated here: the command line offers it first on
+a square channel.  Nothing either oracle returns is trusted without the
+bracket, the one certificate that the explicit formulas are checked by too;
+the alternating scheme returns both ends of the bracket it accepted, so no
+caller need compute it again.
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 from .binary import _channel_ac, _closed_form
 from .channel import _bracket, check_channel
 from .entropy import LogConfig, _DEFAULT, _check_pair, _log_pos, xlogx_star
-from .muroga import INPUT_FEASIBILITY_TOL, _active_set, _muroga, feasible_input
+from .muroga import _active_set, feasible_input
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def capacity_bounds(p, q, cfg: LogConfig = None):
 
 
 def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAResult:
-    """Alternating maximization from the uniform input, with certified explicit shortcuts.
+    """Alternating maximization from the uniform input, with certified shortcuts.
 
     Each sweep computes d_i = sum_j q_ij (log_b q_ij - log_b r_j) against the
     current output distribution r = p Q, and with it the certificate of p:
@@ -93,25 +93,19 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     p_i > 0 and d_i <= C on the rest, with C the capacity and sum p = 1.  On
     a square channel with full support this is Muroga's system.
 
-    Explicit try.  On a square channel the explicit answer is evaluated
-    once.  On a 2x2 channel it is the paper's closed form
-    (``binary._closed_form``) at the channel's (a, c), clamped into [0, 1]
-    as the CLI clamps them: no linear solve, and an input that lies in the
-    simplex on the whole square.  It is tried before the first sweep, since
-    it costs less than the uniform input's bracket it would otherwise follow
-    and certifies to a few ulps where that bracket can pass with a gap near
-    the tolerance.  On a larger square it is Muroga's (``muroga._muroga``,
-    as in ``muroga_capacity``: two linear solves, no condition-number
-    rule), tried only when the bracket at sweep 1 is wider than the
-    tolerance, since those solves cost more than the uniform bracket that
-    settles every symmetric square alone; it is kept only when no entry of
-    its input lies below -``INPUT_FEASIBILITY_TOL``, and an exactly
-    singular channel or an answer that is not finite is dropped too.  A
-    kept input is clamped onto the simplex as ``feasible_input`` does and
-    offered to the acceptance rule below, and an accepted one returns with
+    Explicit try.  A 2x2 channel's explicit answer is evaluated once, before
+    the first sweep: the paper's closed form (``binary._closed_form``) at
+    the channel's (a, c), clamped into [0, 1] as the CLI clamps them, with
+    its input clamped onto the simplex as ``feasible_input`` does.  It needs
+    no linear solve, costs less than the uniform input's bracket it would
+    otherwise follow, and certifies to a few ulps where that bracket can
+    pass with a gap near the tolerance.  An accepted answer returns with
     ``iterations`` 1; otherwise the sweeps go on exactly as without the
     try.  Every one of 1998 random binary channels (|c - a| > 1e-3) settles
-    at sweep 1 this way, where the polish settled them at sweep 4.
+    at sweep 1 this way, where the polish settled them at sweep 4.  A
+    larger square has no explicit try: Muroga's formula costs two linear
+    solves, and under ``auto`` the command line evaluates it first and
+    falls back here only when its answer is rejected.
 
     Support bound.  The optimal output r* is unique, so the optimal inputs
     form a polytope, and each of its vertices has support at most
@@ -120,26 +114,27 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     solves d_S - C = 0, sum p_S = 1 by Newton's method on a support S of at
     most m inputs guessed from p, pruning the guess in batches, and then
     adds the inputs the certificate flags, dropping one input per step
-    after an add.  A square support is solved by Newton too: the explicit
-    formula is tried once, at sweep 1, and the polish does not repeat it.
-    A batch can discard an optimal input that an add must bring back: on
-    6000 random tall channels (128x8 and 96x6, 24 028 sweeps in all) all
-    but five settle at sweep 4, and none later than sweep 16.  Of 1200
-    random square channels (n = 3..8, rows Dirichlet(0.7)), 87 settle at
-    sweep 1 by the explicit try and the other 1113 at sweep 4.
+    after an add.  A square support is solved by Newton too.  A batch can
+    discard an optimal input that an add must bring back: on 6000 random
+    tall channels (128x8 and 96x6, 24 028 sweeps in all) all but five
+    settle at sweep 4, and none later than sweep 16.  All of 1200 random
+    square channels (n = 3..8, rows Dirichlet(0.7)) settle at sweep 4, in
+    6570 Newton solves.
 
-    Acceptance rule.  Each candidate, explicit or polished, is accepted only
-    if its own certificate, computed exactly as ``capacity_bounds`` computes
-    it, has width at most ``oracle.tolerance`` and, where a sweep precedes
-    it (every candidate but a 2x2 channel's closed form), its I(p) is at
-    least the current sweep's; the reported capacity is then that I(p).
-    Otherwise the sweeps go on.  So correctness never rests on the explicit
-    answer, the support guess, nor on which inputs were dropped or added;
-    the capacity is nondecreasing in ``oracle.max_iterations`` (up to
-    rounding of I(p)), ``iterations`` counts sweeps, and a converged
-    result's ``capacity`` is the lower bound of
-    ``capacity_bounds(input_dist, q)``, whose width is at most the
-    tolerance.
+    Acceptance rule.  Each candidate, the closed form or a polished input,
+    is accepted only if its own certificate, computed exactly as
+    ``capacity_bounds`` computes it, has width at most ``oracle.tolerance``
+    and, for a polished input, its I(p) is at least the current sweep's;
+    the reported capacity is then that I(p).  Otherwise the sweeps go on.
+    The closed form's capacity is not compared with its bracket, so at a
+    tolerance near rounding this rule can accept a closed form that the
+    command line's rule, which also asks the capacity to lie within the
+    tolerance, rejected.  So correctness never rests on the closed form,
+    the support guess, nor on which inputs were dropped or added; the
+    capacity is nondecreasing in ``oracle.max_iterations`` (up to rounding
+    of I(p)), ``iterations`` counts sweeps, and a converged result's
+    ``capacity`` is the lower bound of ``capacity_bounds(input_dist, q)``,
+    whose width is at most the tolerance.
 
     Returned bracket.  On every return, converged or not, ``(capacity,
     upper)`` is the bracket of ``input_dist`` from the one ``_bracket`` call
@@ -155,19 +150,15 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     return _blahut_arimoto(q, _log_pos(q, cfg.base), cfg, oracle)
 
 
-def _blahut_arimoto(q, logq, cfg, oracle, explicit=None):
-    """``blahut_arimoto`` on a checked channel ``q`` with masked log_b ``logq``.
-
-    ``explicit`` is the raw input of the square channel's explicit answer
-    when the caller has already evaluated it (``_explicit_input``); without
-    it the explicit try evaluates the answer itself.
-    """
+def _blahut_arimoto(q, logq, cfg, oracle):
+    """``blahut_arimoto`` on a checked channel ``q`` with masked log_b ``logq``."""
     tol = oracle.tolerance
     n, m = q.shape
     if n == m == 2:
-        settled = _explicit_try(q, logq, cfg.base, explicit, tol)
-        if settled is not None:
-            return settled
+        p = feasible_input(_closed_form(*_channel_ac(q))[1])
+        _, lower, upper = _bracket(q, logq, p, cfg.base)
+        if upper - lower <= tol:
+            return BAResult(lower, p, 1, True, upper)
     ln_base = math.log(cfg.base)
     p = np.full(n, 1.0 / n)
     polish_at = 4
@@ -178,52 +169,12 @@ def _blahut_arimoto(q, logq, cfg, oracle, explicit=None):
         d, lower, upper = _bracket(q, logq, p, cfg.base)
         if upper - lower <= tol:
             return BAResult(lower, p, iteration, True, upper)
-        if iteration == 1 and n == m != 2:
-            settled = _explicit_try(q, logq, cfg.base, explicit, tol, lower)
-            if settled is not None:
-                return settled
         if iteration == polish_at:
             polish_at *= 2
             polished = _active_set(q, logq, p, cfg.base, tol)
             if polished is not None and polished[0] >= lower:
                 return BAResult(polished[0], polished[1], iteration, True, polished[2])
     return BAResult(lower, p, oracle.max_iterations, False, upper)
-
-
-def _explicit_try(q, logq, base, exact, tol, floor=-math.inf):
-    """``blahut_arimoto``'s sweep-1 result at the square channel's explicit answer, or None.
-
-    The answer is accepted when its bracket is at most ``tol`` wide and its
-    I(p) is at least ``floor``, the I(p) of a sweep already made.
-    """
-    cand = _explicit_input(q, logq, base, exact)
-    if cand is None:
-        return None
-    _, lower, upper = _bracket(q, logq, cand, base)
-    if upper - lower <= tol and lower >= floor:
-        return BAResult(lower, cand, 1, True, upper)
-    return None
-
-
-def _explicit_input(q, logq, base, exact=None):
-    """The input of ``blahut_arimoto``'s explicit try on a checked square channel, or None.
-
-    ``exact`` is the explicit answer's raw input, the closed form's on a 2x2
-    channel and ``_muroga``'s on a larger one, if already evaluated.
-    """
-    if q.shape[0] == 2:
-        if exact is None:
-            exact = _closed_form(*_channel_ac(q))[1]
-        return feasible_input(exact)
-    if exact is None:
-        with np.errstate(all="ignore"):  # an answer that is not finite is dropped below
-            try:
-                exact = _muroga(q, logq, base)[3]
-            except np.linalg.LinAlgError:
-                return None
-    if not (np.isfinite(exact).all() and exact.min() >= -INPUT_FEASIBILITY_TOL):
-        return None
-    return feasible_input(exact)
 
 
 #: Evenly spaced grid indices sampled per coarse pass of the grid search.

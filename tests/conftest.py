@@ -23,7 +23,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def solves(monkeypatch):
     """Orders of the linear systems ``np.linalg.solve`` is given: one per
-    Newton step of the polish, two per explicit try of Muroga's formula."""
+    Newton step of the polish, two per evaluation of Muroga's formula."""
     orders = []
     real_solve = np.linalg.solve
 

@@ -444,7 +444,7 @@ class TestSolveChannel:
             assert via_muroga.capacity == pytest.approx(via_binary.capacity, abs=1e-10)
 
     def test_nonconvergence_exit_code(self):
-        # A channel the explicit try at sweep 1 cannot settle.
+        # A channel that neither the uniform input nor the polish settles by sweep 2.
         q = ingest_matrix(np.array(INFEASIBLE_3X3))
         result, code = solve_channel(q, "blahut-arimoto", CFG, OracleConfig(max_iterations=2))
         assert code == EXIT_NO_CONVERGENCE
@@ -698,6 +698,12 @@ class TestRun:
         assert run(["--a", "0.3", "--c", "0.3", "--method", "muroga"]) == EXIT_BAD_MATRIX
         capsys.readouterr()
 
+    def test_inverse_not_finite_exit(self, tmp_path, capsys):
+        rows = [[0.5, 0.5, 0, 0], [0, 0.5, 0.5, 0], [0.25, 0.5, 0.25, 4e-309], [0.25, 0.25, 0.25, 0.25]]
+        path = write_channel_file(tmp_path, "nan_inverse.json", {"matrix": rows})
+        assert run(["--matrix", path, "--method", "muroga"]) == EXIT_BAD_MATRIX
+        assert capsys.readouterr() == ("", "error: inverse is not finite\n")
+
     def test_out_of_range_shortcut_exit(self, capsys):
         assert run(["--a", "-0.2", "--c", "0.5"]) == EXIT_BAD_MATRIX
         capsys.readouterr()
@@ -744,6 +750,16 @@ class TestRun:
         result = parse_report(capsys.readouterr().out)
         assert result.fallback_used and not result.feasible
         assert result.diagnostics["muroga_capacity_raw"] > result.capacity
+
+    def test_binary_fallback_settles_at_sweep_one(self, capsys):
+        # At a tolerance below rounding auto rejects the closed form by its
+        # capacity term alone; Blahut-Arimoto evaluates it again, and its
+        # bracket alone accepts it before the first sweep.
+        assert run(["--a", "0.1", "--c", "0.9", "--tol", "1e-16", "--max-iter", "3"]) == EXIT_OK
+        result = parse_report(capsys.readouterr().out)
+        assert result.method == "blahut_arimoto" and result.fallback_used
+        assert result.diagnostics["iterations"] == 1.0
+        assert result.optimal_input == (0.5, 0.5)
 
 
 def patch_everywhere(monkeypatch, fn, replacement):

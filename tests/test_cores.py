@@ -217,26 +217,27 @@ class TestRunMatchesPublicPipeline:
 
 class TestAutoFallbackReusesMuroga:
     def test_infeasible_square(self, murogas, solves):
-        """Under auto an infeasible square's Muroga answer is Blahut-Arimoto's
-        try at sweep 1: one evaluation, two solves fewer, the same report."""
+        """Under auto an infeasible square's Muroga answer is evaluated once,
+        by the command line, and Blahut-Arimoto makes no second try: the
+        same solves and the same report as the public pipeline."""
         q = ingest_matrix(np.array(INFEASIBLE_3X3))
         cfg, ocfg = LogConfig(), OracleConfig()
         want, want_code = reference_solve(q, "auto", cfg, ocfg)
-        assert len(murogas) == 2
+        assert len(murogas) == 1
         reference_solves = len(solves)
         murogas.clear()
         solves.clear()
         got, code = solve_channel(q, "auto", cfg, ocfg)
         assert len(murogas) == 1
-        assert len(solves) == reference_solves - 2
+        assert len(solves) == reference_solves
         assert got.fallback_used and code == want_code
         for fmt in ("json", "text"):
             assert emit_report(got, fmt) == emit_report(want, fmt)
 
-    def test_singular_square_makes_its_own_try(self, murogas):
-        """A square the singularity rule rejects reaches Blahut-Arimoto with no
-        answer, and its try at sweep 1 evaluates Muroga's formula itself."""
+    def test_singular_square_evaluates_no_muroga(self, murogas):
+        """A square the singularity rule rejects goes to Blahut-Arimoto, which
+        does not evaluate Muroga's formula either."""
         q = ingest_matrix(np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.1, 0.8]]))
         got, _ = solve_channel(q, "auto", LogConfig(), OracleConfig())
-        assert len(murogas) == 1 and not got.fallback_used
+        assert murogas == [] and not got.fallback_used
         assert emit_report(got) == emit_report(reference_solve(q, "auto", LogConfig(), OracleConfig())[0])

@@ -129,3 +129,14 @@ def test_one_singular_error_from_every_entry_point():
         with pytest.raises(SingularChannelError) as info:
             call()
         assert str(info.value) == "reciprocal condition number 5e-16 below 1e-12"
+
+
+def test_inverse_that_is_not_finite():
+    """A channel whose computed inverse holds NaN is singular, and the error
+    says so rather than calling NaN a condition number below 1e-12."""
+    q = np.array(
+        [[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [0.25, 0.5, 0.25, 4e-309], [0.25, 0.25, 0.25, 0.25]]
+    )
+    with pytest.raises(SingularChannelError) as info:
+        inverse(q)
+    assert str(info.value) == "inverse is not finite"

@@ -27,7 +27,6 @@ from chancap import (
 )
 from chancap.entropy import _log_pos
 from chancap.muroga import _active_set, _muroga
-from chancap.oracle import _explicit_input
 
 # A channel whose middle input is a noisy blend of the outer two: the
 # unconstrained stationary input has a negative middle entry, so the
@@ -288,9 +287,10 @@ class TestMurogaCapacity:
             assert sol.capacity == pytest.approx(capacity_from_aux(sol.aux), abs=1e-12)
 
     def test_one_formula_with_the_explicit_try(self):
-        """The explicit pipeline and Blahut-Arimoto's sweep-1 try evaluate
-        Muroga's formula in one function, so on a feasible channel with full
-        support they agree bit for bit."""
+        """The explicit pipeline and the command line, which runs ``_muroga``
+        on the channel it has checked, evaluate Muroga's formula in one
+        function, so on a feasible channel with full support they agree bit
+        for bit."""
         rng = np.random.default_rng(14)
         checked = 0
         while checked < 100:
@@ -305,9 +305,6 @@ class TestMurogaCapacity:
             assert sol.capacity == capacity
             np.testing.assert_array_equal(sol.opt_input_raw, p)
             np.testing.assert_array_equal(sol.opt_output, r)
-            if n > 2:  # a 2x2 channel's try is the binary closed form
-                tried = _explicit_input(q, _log_pos(q, 2.0), 2.0)
-                np.testing.assert_array_equal(tried, feasible_input(p))
 
 
 class TestActiveSet:
