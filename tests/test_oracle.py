@@ -1,6 +1,7 @@
 """Iterative capacity solvers and their certified bounds."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -319,6 +320,10 @@ class TestNewtonPolish:
             assert later >= earlier - 1e-12
 
 
+def _raise_singular(*args):
+    raise np.linalg.LinAlgError("Muroga's formula disabled")
+
+
 def _symmetric(n, eps):
     """The n-ary symmetric channel: each input goes wrong with probability eps, evenly."""
     return np.full((n, n), eps / (n - 1)) + (1.0 - eps - eps / (n - 1)) * np.eye(n)
@@ -378,11 +383,11 @@ class TestExplicitTry:
         assert np.all(res.input_dist == 1.0 / n)
         assert murogas == []
 
-    def test_larger_square_evaluates_no_muroga(self, murogas):
-        """Only a 2x2 channel has an explicit try; a larger square, feasible,
-        infeasible, singular or overflowing, and a tall channel are settled
-        by sweeps and the polish without Muroga's formula, at the default
-        cap and at two sweeps."""
+    def test_polish_does_not_repeat_the_try(self, murogas):
+        """Only a 2x2 channel has an explicit try; the polish solves every
+        support by Newton, so a larger square, feasible, infeasible, singular
+        or overflowing, and a tall channel never evaluate Muroga's formula,
+        at the default cap and at two sweeps."""
         squares = [
             INFEASIBLE_3X3, *_flat_infeasible_squares(), *SQUARE_FEASIBLE, DUPLICATE_ROW_3X3, OVERFLOWING_4X4,
         ]
@@ -391,6 +396,27 @@ class TestExplicitTry:
             assert blahut_arimoto(q).converged, i
             blahut_arimoto(q, oracle=OracleConfig(max_iterations=2))
             assert murogas == [], i
+
+    def test_failed_try_leaves_no_trace(self, monkeypatch):
+        """With Muroga's formula raising wherever a ``chancap`` module binds
+        it, a larger square's answer is the same to the byte: nothing that
+        Blahut-Arimoto returns for it rests on that formula."""
+        from chancap import muroga as muroga_module
+
+        squares = [INFEASIBLE_3X3, *_flat_infeasible_squares(), *SQUARE_FEASIBLE, DUPLICATE_ROW_3X3, OVERFLOWING_4X4]
+        squares = [q for q in squares if q.shape[0] > 2]
+        caps = [OracleConfig(), OracleConfig(max_iterations=2)]
+        tried = [blahut_arimoto(q, oracle=ocfg) for q in squares for ocfg in caps]
+        real = muroga_module._muroga
+        for name, module in list(sys.modules.items()):
+            if name == "chancap" or name.startswith("chancap."):
+                for gname in [g for g, v in vars(module).items() if v is real]:
+                    monkeypatch.setattr(module, gname, _raise_singular)
+        untried = [blahut_arimoto(q, oracle=ocfg) for q in squares for ocfg in caps]
+        for i, (got, want) in enumerate(zip(tried, untried)):
+            assert got.capacity == want.capacity, i
+            assert got.input_dist.tobytes() == want.input_dist.tobytes(), i
+            assert (got.iterations, got.converged) == (want.iterations, want.converged), i
 
     @pytest.mark.parametrize(
         "q",
