@@ -27,12 +27,13 @@ uses it as its polish.  The formula itself is evaluated only by
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import _bracket, _divergences, check_channel
-from .entropy import LogConfig, _DEFAULT, _log_b, _log_pos
+from .entropy import LogConfig, _DEFAULT, _as_float_array, _log_b, _log_pos
 
 #: Raw inputs with entries no more negative than this count as feasible.
 INPUT_FEASIBILITY_TOL = 1e-12
@@ -61,11 +62,9 @@ class MurogaSolution:
 
 
 def _check_square(a):
-    arr = np.asarray(a, dtype=float)
+    arr = _as_float_array(a, "matrix")[0]
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
     return arr
 
 
@@ -99,9 +98,13 @@ def _inverse(a):
 
 
 def solve(a, rhs):
-    """Solve ``a @ x = rhs`` for a square matrix; raises SingularChannelError if singular."""
+    """Solve ``a @ x = rhs`` for a square matrix; raises SingularChannelError if singular.
+
+    ``a`` and ``rhs`` must be non-empty and finite, and ``rhs`` 1-D of the
+    matrix's order; anything else raises ValueError naming the argument.
+    """
     a = _check_square(a)
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = _as_float_array(rhs, "rhs")[0]
     if rhs.shape != (a.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match matrix of order {a.shape[0]}")
     _inverse(a)
@@ -148,18 +151,32 @@ def solve_auxiliary(q, cfg: LogConfig = None):
 
 
 def capacity_from_aux(aux, cfg: LogConfig = None):
-    """C = log_b sum_j b**x_j, evaluated with the max shifted out."""
+    """C = log_b sum_j b**x_j, evaluated with the max shifted out.
+
+    ``aux`` must be a non-empty, finite, 1-D array; anything else raises
+    ValueError.
+    """
     cfg = _DEFAULT if cfg is None else cfg
-    aux = np.asarray(aux, dtype=float)
+    aux = _as_float_array(aux, "aux")[0]
+    if aux.ndim != 1:
+        raise ValueError(f"aux must be 1-D, got shape {aux.shape}")
     m = float(aux.max())
     total = math.fsum(_exp_b(aux - m, cfg.base))
     return m + float(_log_b(total, cfg.base))
 
 
 def optimal_output(aux, capacity, cfg: LogConfig = None):
-    """r_j = b**(x_j - C); sums to one by construction of C."""
+    """r_j = b**(x_j - C); sums to one by construction of C.
+
+    ``aux`` must be a non-empty, finite, 1-D array and ``capacity`` a finite
+    real number, not a bool; anything else raises ValueError.
+    """
     cfg = _DEFAULT if cfg is None else cfg
-    aux = np.asarray(aux, dtype=float)
+    aux = _as_float_array(aux, "aux")[0]
+    if aux.ndim != 1:
+        raise ValueError(f"aux must be 1-D, got shape {aux.shape}")
+    if isinstance(capacity, bool) or not (isinstance(capacity, numbers.Real) and math.isfinite(capacity)):
+        raise ValueError(f"capacity must be a finite real, got {capacity!r}")
     return _exp_b(aux - capacity, cfg.base)
 
 
@@ -167,9 +184,11 @@ def optimal_input(q, opt_output):
     """Pull the output distribution back through F = Q^{-1}: p = F^T r.
 
     Entries may be negative; that is the infeasible case, not an error.
+    ``opt_output`` must be finite and 1-D of the channel's order; anything
+    else raises ValueError.
     """
     q = _check_square_channel(q)
-    r = np.asarray(opt_output, dtype=float)
+    r = _as_float_array(opt_output, "opt_output")[0]
     if r.shape != (q.shape[0],):
         raise ValueError(f"output distribution shape {r.shape} does not match channel {q.shape}")
     return _inverse(q).T @ r
@@ -249,36 +268,42 @@ def _add_input(q, cand, j):
     return start / start.sum()
 
 
-def _newton_support(q, logq, p, base, tol, support=None):
-    """Solve Muroga's system on a support; a candidate input or None.
+@np.errstate(all="ignore")  # a failed step is caught below, not warned
+def _active_set(q, logq, p, base, tol):
+    """Muroga's system on an active set: a certified ``(lower, input, upper)`` or None.
 
-    Unknowns are p_S and C; the equations d_S(p) - C = 0 and sum(p_S) = 1.
-    Without ``support``, S is guessed from ``p``: the inputs with
-    p_i >= SUPPORT_SHARE * max p, at most the m largest; the caller passes
-    one to grow S by an input the certificate flagged (``_add_input``).  A
-    step that makes some p_S non-positive shrinks S and starts again from
-    ``p`` on what is left, so S only shrinks here, and only the caller adds.
+    ``q`` is a checked channel of any shape, ``logq`` its masked log_b and
+    ``p`` the start.  One loop owns the support S: it guesses S from ``p``,
+    the inputs with p_i >= SUPPORT_SHARE * max p, at most the m largest;
+    solves d_S(p) - C = 0, sum(p_S) = 1 by Newton on S; shrinks S when a
+    step leaves the simplex; certifies a converged candidate with its
+    bracket; and, while that bracket is wider than ``tol``, grows S by the
+    input with the largest divergence (``_add_input``), at most m times,
+    unless it is already in S.  ``lower`` and ``upper`` are the accepted
+    candidate's bracket, computed as ``capacity_bounds`` computes it.
 
     Newton.  Since dd_i/dp_l = -sum_j q_ij q_lj / (r_j ln b), the Jacobian
     is -Q_S diag(1/r) Q_S^T / ln b bordered by a column of -1 and a row of
-    1.  Newton starts from ``p`` restricted to S, and an iterate is
-    returned once max |d_S - C| <= tol / 4.
+    1.  Newton starts from ``p`` restricted to S, where ``p`` is the start
+    or, after an add, ``_add_input``'s warm start, and a candidate is
+    taken once max |d_S - C| <= tol / 4.
 
     The drop rule.  An optimal input with zero mass has d_i <= C, and one
     with positive mass has d_i = C.  A step that leaves the simplex drops
-    the most negative input, so every restart shrinks S.  On a guessed
-    support it also drops every input whose new mass is <= 0 and whose
-    divergence at the point the step was taken from lies below the
-    estimate, d_i - c < 0, failing both tests at once, so a guess with many
-    spurious inputs is pruned in a few solves.  A passed support drops one
-    input per step, since a batch could throw out the input just added.  A
-    wrong drop costs speed only: the certificate still decides.
+    the most negative input and starts Newton again from ``p`` on what is
+    left (a restart from the clipped iterate took fewer solves on some
+    channel sets and more on others).  While S is the guess it also drops
+    every input whose new mass is <= 0 and whose divergence at the point
+    the step was taken from lies below the estimate, d_i - c < 0, failing
+    both tests at once, so a guess with many spurious inputs is pruned in
+    a few solves.  After an add S drops one input per step, since a batch
+    could throw out the input just added.  A wrong drop costs speed only:
+    the certificate still decides.
     """
     ln_base = math.log(base)
-    guessed = support is None
-    if guessed:
-        order = np.argsort(-p, kind="stable")[: q.shape[1]]
-        support = order[p[order] >= SUPPORT_SHARE * p[order[0]]]
+    order = np.argsort(-p, kind="stable")[: q.shape[1]]
+    support = order[p[order] >= SUPPORT_SHARE * p[order[0]]]
+    guessed, adds = True, q.shape[1]
     while support.size:
         k = support.size
         # Outputs no support input reaches add nothing to d_S or the Jacobian.
@@ -300,9 +325,7 @@ def _newton_support(q, logq, p, base, tol, support=None):
             if not math.isfinite(worst):
                 return None
             if worst <= tol / 4:
-                out = np.zeros_like(p)
-                out[support] = ps / ps.sum()
-                return out
+                break
             jac[:k, :k] = (qs / r) @ qs.T / -ln_base
             if not np.isfinite(jac).all():
                 return None  # an output mass underflowed; LAPACK cannot use this
@@ -321,32 +344,16 @@ def _newton_support(q, logq, p, base, tol, support=None):
                 break
         else:
             return None
-    return None
-
-
-def _active_set(q, logq, p, base, tol):
-    """Muroga's system on an active set: a certified ``(lower, input, upper)`` or None.
-
-    ``q`` is a checked channel of any shape, ``logq`` its masked log_b and
-    ``p`` the start.  ``_newton_support`` solves the system by Newton on
-    the support guessed from ``p``, dropping inputs as it goes; while a
-    candidate's bracket is wider than ``tol``, the input with the largest
-    divergence joins (``_add_input``), at most m times, unless it is
-    already in the support.  ``lower`` and ``upper`` are the accepted
-    candidate's bracket, computed as ``capacity_bounds`` computes it.
-    """
-    start, support = p, None
-    for _ in range(q.shape[1] + 1):
-        with np.errstate(all="ignore"):  # a failed step is caught below, not warned
-            cand = _newton_support(q, logq, start, base, tol, support)
-        if cand is None:
-            return None
+        if worst > tol / 4:
+            continue  # a step left the simplex and S shrank
+        cand = np.zeros_like(p)
+        cand[support] = ps / ps.sum()
         d, lower, upper = _bracket(q, logq, cand, base)
         if upper - lower <= tol:
             return lower, cand, upper
         j = int(np.argmax(d))
-        if cand[j] > 0.0:
+        if cand[j] > 0.0 or not adds:
             return None
-        start = _add_input(q, cand, j)
-        support = np.flatnonzero(start)
+        p, guessed, adds = _add_input(q, cand, j), False, adds - 1
+        support = np.flatnonzero(p)
     return None

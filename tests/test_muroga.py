@@ -22,6 +22,7 @@ from chancap import (
     optimal_output,
     relabel_inputs,
     relabel_outputs,
+    solve,
     solve_auxiliary,
     xlogx_star,
 )
@@ -134,14 +135,55 @@ class TestCapacityFromAux:
         assert c == pytest.approx(1.0, abs=1e-14)
 
 
+class TestHelperValidation:
+    """The public helpers of Muroga's formula reject what they cannot use,
+    naming the argument, instead of returning NaN or failing inside numpy."""
+
+    @pytest.mark.parametrize(
+        "aux, match",
+        [
+            ([math.nan], "aux contains non-finite"),
+            ([0.0, math.inf], "aux contains non-finite"),
+            ([], "aux must be non-empty"),
+            ([[1.0, 2.0]], "aux must be 1-D"),
+            (0.5, "aux must be 1-D"),
+        ],
+    )
+    def test_aux(self, aux, match):
+        with pytest.raises(ValueError, match=match):
+            capacity_from_aux(aux)
+        with pytest.raises(ValueError, match=match):
+            optimal_output(aux, 1.0)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf, True, "1.0", None, np.array([1.0])])
+    def test_capacity(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be a finite real"):
+            optimal_output([0.0, -2.0], capacity)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.5], [0.5, math.inf]])
+    def test_optimal_input_output(self, bad):
+        with pytest.raises(ValueError, match="opt_output contains non-finite"):
+            optimal_input(binary_channel(0.0, 0.5), bad)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.5], [0.5, -math.inf]])
+    def test_solve_rhs(self, bad):
+        with pytest.raises(ValueError, match="rhs contains non-finite"):
+            solve(np.eye(2), bad)
+
+    def test_solve_empty_matrix(self):
+        with pytest.raises(ValueError, match="matrix must be non-empty"):
+            solve(np.zeros((0, 0)), [])
+
+
 class TestOptimalDistributions:
     def test_output_zero_aux_is_uniform(self):
         r = optimal_output(np.zeros(5), math.log2(5))
         np.testing.assert_allclose(r, 0.2, atol=1e-14)
 
     def test_output_z_channel(self):
-        r = optimal_output([0.0, -2.0], math.log2(1.25))
-        np.testing.assert_allclose(r, [0.8, 0.2], atol=1e-14)
+        for capacity in (math.log2(1.25), np.float64(math.log2(1.25))):
+            r = optimal_output([0.0, -2.0], capacity)
+            np.testing.assert_allclose(r, [0.8, 0.2], atol=1e-14)
 
     def test_output_always_sums_to_one(self):
         rng = np.random.default_rng(43)
