@@ -4,7 +4,8 @@ Capacity reports from the command line
 
 The `capacity` console script wraps the solvers behind one entry point and
 emits a deterministic JSON report.  This script drives the same entry point
-in-process: write a channel file, run it, and read the report back.
+in-process: write a channel file, run it, and read the report back.  The
+library's `chancap.capacity` gives the same certified answer without a file.
 """
 
 import io
@@ -13,7 +14,8 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from chancap.cli import parse_report, run
+from chancap import capacity
+from chancap.cli import emit_report, parse_report, run
 
 
 def capture(argv):
@@ -32,18 +34,13 @@ print(out)
 # General channels come from a JSON file holding the row-stochastic matrix.
 with tempfile.TemporaryDirectory() as tmpdir:
     tmp = Path(tmpdir)
+    noisy_matrix = [
+        [0.7, 0.2, 0.1],
+        [0.1, 0.8, 0.1],
+        [0.05, 0.15, 0.8],
+    ]
     noisy = tmp / "noisy3.json"
-    noisy.write_text(
-        json.dumps(
-            {
-                "matrix": [
-                    [0.7, 0.2, 0.1],
-                    [0.1, 0.8, 0.1],
-                    [0.05, 0.15, 0.8],
-                ]
-            }
-        )
-    )
+    noisy.write_text(json.dumps({"matrix": noisy_matrix}))
     code, out = capture(["--matrix", str(noisy)])
     report = parse_report(out)
     print("method       :", report.method)
@@ -53,6 +50,12 @@ with tempfile.TemporaryDirectory() as tmpdir:
     # Reports are byte-deterministic: run twice, compare bytes.
     _, again = capture(["--matrix", str(noisy)])
     print("reruns byte-identical:", out == again)
+
+    # The library entry point: the same result, with no file and no argv.
+    # It returns (result, converged); the command exits 4 where converged is false.
+    result, converged = capacity(noisy_matrix)
+    print("library report == CLI stdout:", emit_report(result) + "\n" == out, " converged:", converged)
+    assert emit_report(result) + "\n" == out
 
     # Method auto falls back to the iterative solver when the explicit formula
     # produces a negative input weight.  The report says so and keeps both

@@ -2,7 +2,9 @@
 
 Closed forms for binary channels, Muroga's explicit solution for square
 invertible channels (and its system on an active set for any shape), and
-certified iterative oracles (alternating maximization, grid search).
+certified iterative oracles (alternating maximization, grid search);
+``capacity`` picks among them and certifies the answer, as the
+``capacity`` command does.
 """
 
 from .binary import (
@@ -23,6 +25,7 @@ from .channel import (
     relabel_inputs,
     relabel_outputs,
 )
+from .dispatch import capacity
 from .entropy import (
     LogConfig,
     SUM_TOL,
@@ -79,6 +82,7 @@ __all__ = [
     "binary_optimal_input",
     "binary_optimal_output",
     "blahut_arimoto",
+    "capacity",
     "capacity_bounds",
     "capacity_from_aux",
     "channel_mutual_information",

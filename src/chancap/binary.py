@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .entropy import LogConfig, _DEFAULT
+from .entropy import LogConfig, _DEFAULT, _as_float
 
 #: ``binary_aux`` raises for |c - a| at or below this; nothing else uses it.
 DEGENERATE_TOL = 1e-12
@@ -25,8 +25,7 @@ class DegenerateChannelError(ValueError):
 
 
 def _check_binary(a, c):
-    a = float(a)
-    c = float(c)
+    a, c = _as_float(a), _as_float(c)
     for name, value in (("a", a), ("c", c)):
         if not math.isfinite(value) or not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")

@@ -1,4 +1,4 @@
-"""Command line front end: read a channel, pick a solver, emit a report.
+"""Command line front end: read a channel, solve it with ``chancap.dispatch``, emit a report.
 
 Exit codes: 0 success, 2 malformed input file or bad flags, 3 invalid
 matrix (bad probabilities, wrong shape for the chosen method, singular
@@ -16,16 +16,14 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .binary import _channel_ac, _closed_form
-from .channel import _bracket, binary_channel, check_channel
-from .entropy import _DEFAULT as _DEFAULT_LOG, SUM_TOL, LogConfig, _as_float_array, _log_pos, _unsettled
-from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, _inverse, _muroga, feasible_input
-from .oracle import _DEFAULT_ORACLE, OracleConfig, _blahut_arimoto, _grid_search_binary
+from .channel import binary_channel, check_channel
+from .dispatch import METHODS, CapacityResult, _fmt, _solve
+from .entropy import _DEFAULT as _DEFAULT_LOG, SUM_TOL, LogConfig, _as_float_array, _unsettled
+from .oracle import _DEFAULT_ORACLE, OracleConfig
 
 EXIT_OK = 0
 EXIT_BAD_FILE = 2
@@ -35,33 +33,9 @@ EXIT_NO_CONVERGENCE = 4
 #: Row sums may deviate from 1 by up to this much on ingest (then renormalized).
 INGEST_ROW_SUM_TOL = 1e-9
 
-METHODS = ("auto", "binary", "muroga", "blahut-arimoto", "grid")
-
 
 class ChannelFileError(ValueError):
     """Structurally unusable channel file (unreadable, bad JSON, bad fields)."""
-
-
-@dataclass(frozen=True)
-class CapacityResult:
-    """One solved channel, as reported to the user."""
-
-    capacity: float
-    units: str
-    method: str  # binary_closed_form | muroga | blahut_arimoto | grid
-    optimal_input: tuple
-    optimal_output: tuple
-    feasible: bool
-    fallback_used: bool
-    diagnostics: dict  # text -> real
-
-
-def _units(base):
-    return "bits" if base == 2.0 else f"base-{_fmt(base)} units"
-
-
-def _fmt(x):
-    return "%.17g" % (float(x) + 0.0)  # adding 0.0 turns -0.0 into 0.0: no stray "-0"
 
 
 def _vec(values):
@@ -205,14 +179,12 @@ def read_channel_file(path):
     if width == 0 or any(len(r) != width for r in rows):
         raise ChannelFileError("matrix rows must all have the same positive length")
     # json.loads yields exact int and float for numbers, so one C-level scan
-    # of the entry types decides; the loop only names the first bad entry.
+    # of the entry types decides; the second scan only names the first bad entry.
     if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
-        for r in rows:
-            for v in r:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ChannelFileError(f"matrix entries must be numbers, got {reprlib.repr(v)}")
+        bad = next(v for v in itertools.chain.from_iterable(rows) if not _is_number(v))
+        raise ChannelFileError(f"matrix entries must be numbers, got {reprlib.repr(bad)}")
     base = obj.get("base")
-    if base is not None and (isinstance(base, bool) or not isinstance(base, (int, float))):
+    if base is not None and not _is_number(base):
         raise ChannelFileError(f'"base" must be a number, got {reprlib.repr(base)}')
     method = obj.get("method")
     if method is not None and method not in METHODS:
@@ -239,111 +211,20 @@ def ingest_matrix(raw):
     if dev > INGEST_ROW_SUM_TOL:
         raise ValueError(f"row sums deviate from 1 by {dev:g}, beyond {INGEST_ROW_SUM_TOL:g}")
     if dev > SUM_TOL:
-        print(
-            f"warning: row sums off by up to {dev:.3g}; renormalizing rows",
-            file=sys.stderr,
-        )
+        print(f"warning: row sums off by up to {dev:.3g}; renormalizing rows", file=sys.stderr)
         raw = raw / sums[:, np.newaxis]
     return check_channel(raw)
 
 
-def _report(q, cfg, method, capacity, p, r, diagnostics, bounds, feasible, fallback_used=False):
-    """The one place a solver's answer becomes a CapacityResult.
-
-    ``bounds`` is the certificate ``(lower, upper)`` of the reported input
-    ``p`` on the checked channel ``q``, as ``capacity_bounds(p, q, cfg)``
-    computes it; ``diagnostics["gap"]`` records upper - lower.  ``r`` is the
-    method's own output distribution; without one the report shows ``p Q``.
-    """
-    lower, upper = bounds
-    diagnostics["gap"] = upper - lower
-    return CapacityResult(
-        capacity=capacity,
-        units=_units(cfg.base),
-        method=method,
-        optimal_input=tuple(p.tolist()),
-        optimal_output=tuple((p.dot(q) if r is None else r).tolist()),
-        feasible=feasible,
-        fallback_used=fallback_used,
-        diagnostics=diagnostics,
-    )
-
-
 def solve_channel(q, method, cfg, ocfg):
-    """Dispatch a checked channel ``q`` to a solver; returns (CapacityResult, exit code).
+    """``dispatch._solve`` on a checked channel ``q``: (CapacityResult, exit code).
 
-    A square channel has an explicit answer: under ``binary``, and under
-    ``auto`` when 2x2, the closed form at its (a, c), clamped into [0, 1]
-    since a checked entry may exceed 1 by rounding, with the diagnostic
-    ``det = c - a``; otherwise Muroga's formula, which raises
-    SingularChannelError on a channel the singularity rule rejects.  Each
-    explicit answer reports its raw input clamped onto the simplex and is
-    certified there.  It is feasible when no raw entry lies below
-    -INPUT_FEASIBILITY_TOL and its capacity, lower and upper bound lie
-    within ``ocfg.tolerance`` of each other; an infeasible one records its
-    smallest raw entry as ``min_input_raw``.
-
-    Under ``auto`` an infeasible explicit answer falls back to
-    Blahut-Arimoto with ``fallback_used``, and a channel that the
-    singularity rule rejects goes to Blahut-Arimoto directly; neither hands
-    it anything.  On a 2x2 channel Blahut-Arimoto tries the closed form
-    again before its first sweep and accepts it by its bracket alone, so a
-    closed form rejected only by its capacity term, at a tolerance near
-    rounding, returns at sweep 1.  A Blahut-Arimoto or grid answer is
-    feasible unless it is a fallback.  Raises ValueError /
-    SingularChannelError for matrix-vs-method mismatches (the CLI maps those
-    to exit 3).
-
-    The solvers run as their private cores, on ``q`` as checked and on its
-    masked logs, taken once here.
+    The exit code is EXIT_OK, or EXIT_NO_CONVERGENCE where Blahut-Arimoto
+    stopped at its iteration cap.  Raises ValueError (SingularChannelError
+    among them) for matrix-vs-method mismatches; ``run`` maps those to exit 3.
     """
-    n, m = q.shape
-    if method == "binary" and (n, m) != (2, 2):
-        raise ValueError(f"binary method needs a 2x2 channel, got {n}x{m}")
-    if method == "muroga" and n != m:
-        raise ValueError(f"muroga method needs a square channel, got {n}x{m}")
-    logq = _log_pos(q, cfg.base)
-    if method == "grid":
-        res = _grid_search_binary(q, cfg, ocfg)
-        p = np.array([res.p1, 1.0 - res.p1])
-        diag = {"grid_resolution": float(ocfg.grid_resolution)}
-        _, lower, upper = _bracket(q, logq, p, cfg.base)
-        return _report(q, cfg, "grid", res.capacity, p, None, diag, (lower, upper), True), EXIT_OK
-    fallback = None  # the raw explicit capacity, once auto falls back
-    if method != "blahut-arimoto" and n == m:
-        try:
-            if method == "binary" or (method == "auto" and n == 2):
-                a, c = _channel_ac(q)
-                capacity, raw, r = _closed_form(a, c)
-                solver, capacity, diag = "binary_closed_form", capacity / math.log(cfg.base), {"det": c - a}
-                raw, r = np.array(raw), np.array(r)
-            else:
-                _inverse(q)
-                _, capacity, r, raw = _muroga(q, logq, cfg.base)
-                solver, diag = "muroga", {}
-        except SingularChannelError:
-            if method != "auto":
-                raise
-        else:
-            p = feasible_input(raw)
-            _, lower, upper = _bracket(q, logq, p, cfg.base)
-            raw_min = np.minimum.reduce(raw)
-            span = max(lower, upper, capacity) - min(lower, upper, capacity)
-            feasible = bool(raw_min >= -INPUT_FEASIBILITY_TOL and span <= ocfg.tolerance)
-            if feasible or method != "auto":
-                if not feasible:
-                    diag["min_input_raw"] = float(raw_min)
-                return _report(q, cfg, solver, capacity, p, r, diag, (lower, upper), feasible), EXIT_OK
-            fallback = capacity
-    res = _blahut_arimoto(q, logq, cfg, ocfg)
-    diag = {"iterations": float(res.iterations)}
-    if fallback is not None:
-        diag.update(muroga_capacity_raw=fallback, oracle_capacity=res.capacity)
-    result = _report(
-        q, cfg, "blahut_arimoto", res.capacity, res.input_dist, None, diag,
-        (res.capacity, res.upper), fallback is None, fallback_used=fallback is not None,
-    )
-    return result, EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    result, converged = _solve(q, method, cfg, ocfg)
+    return result, EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 #: The command line, one row per flag: flag -> (metavar, converter, default,
@@ -486,21 +367,17 @@ def run(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_MATRIX
 
-    base, method = opts["--base"], opts["--method"]
+    base, method = opts["--base"], opts["--method"] or file_method or "auto"
     if base is None:
         base = 2.0 if file_base is None else file_base
-    if method is None:
-        method = file_method or "auto"
     tol, max_iter = opts["--tol"], opts["--max-iter"]
     try:
         # The default configs are validated once, at import; equal fields
         # make an equal config, so reusing them changes no report.
         base = float(base)
         cfg = _DEFAULT_LOG if base == _DEFAULT_LOG.base else LogConfig(base=base)
-        if tol == _DEFAULT_ORACLE.tolerance and max_iter == _DEFAULT_ORACLE.max_iterations:
-            ocfg = _DEFAULT_ORACLE
-        else:
-            ocfg = OracleConfig(tolerance=tol, max_iterations=max_iter)
+        same = tol == _DEFAULT_ORACLE.tolerance and max_iter == _DEFAULT_ORACLE.max_iterations
+        ocfg = _DEFAULT_ORACLE if same else OracleConfig(tolerance=tol, max_iterations=max_iter)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
@@ -509,7 +386,7 @@ def run(argv=None) -> int:
         if matrix is not None:
             q = ingest_matrix(raw)
         result, code = solve_channel(q, method, cfg, ocfg)
-    except (SingularChannelError, ValueError) as exc:
+    except ValueError as exc:  # SingularChannelError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MATRIX
 

@@ -20,6 +20,15 @@ SUM_TOL = 1e-12
 NEG_CLAMP = -1e-15
 
 
+def _as_float(x):
+    """``float(x)``, but an int too large for a float reads as the infinity of
+    its sign, as ``_as_float_array`` reads it, so a finiteness check rejects it."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class LogConfig:
     """Logarithm convention: base ``b > 1`` and the value assigned to log*(0).
@@ -33,7 +42,7 @@ class LogConfig:
     star_value: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.base) and self.base > 1.0):
+        if not (math.isfinite(_as_float(self.base)) and self.base > 1.0):
             raise ValueError(f"log base must be finite and > 1, got {self.base}")
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _bracket, _divergences, check_channel
-from .entropy import LogConfig, _DEFAULT, _as_float_array, _log_b, _log_pos
+from .entropy import LogConfig, _DEFAULT, _as_float, _as_float_array, _log_b, _log_pos
 
 #: Raw inputs with entries no more negative than this count as feasible.
 INPUT_FEASIBILITY_TOL = 1e-12
@@ -175,7 +175,7 @@ def optimal_output(aux, capacity, cfg: LogConfig = None):
     aux = _as_float_array(aux, "aux")[0]
     if aux.ndim != 1:
         raise ValueError(f"aux must be 1-D, got shape {aux.shape}")
-    if isinstance(capacity, bool) or not (isinstance(capacity, numbers.Real) and math.isfinite(capacity)):
+    if isinstance(capacity, bool) or not (isinstance(capacity, numbers.Real) and math.isfinite(_as_float(capacity))):
         raise ValueError(f"capacity must be a finite real, got {capacity!r}")
     return _exp_b(aux - capacity, cfg.base)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .binary import _channel_ac, _closed_form
 from .channel import _bracket, check_channel
-from .entropy import LogConfig, _DEFAULT, _check_pair, _log_pos, xlogx_star
+from .entropy import LogConfig, _DEFAULT, _as_float, _check_pair, _log_pos, xlogx_star
 from .muroga import _active_set, feasible_input
 
 
@@ -41,7 +41,7 @@ class OracleConfig:
     def __post_init__(self):
         if isinstance(self.tolerance, (bool, np.bool_)):
             raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+        if not (math.isfinite(_as_float(self.tolerance)) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         for name, least in (("max_iterations", 1), ("grid_resolution", 2)):
             value = getattr(self, name)

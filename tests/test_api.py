@@ -25,6 +25,7 @@ PUBLIC = {
     "binary_optimal_input",
     "binary_optimal_output",
     "blahut_arimoto",
+    "capacity",
     "capacity_bounds",
     "capacity_from_aux",
     "channel_mutual_information",

@@ -48,6 +48,15 @@ class TestBinaryAux:
         with pytest.raises(ValueError):
             binary_aux(0.2, 1.2)
 
+    @pytest.mark.parametrize("fn", [binary_aux, binary_capacity, binary_optimal_input, binary_optimal_output])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_int_beyond_float_range(self, fn, sign):
+        """An int too large for a float is outside [0, 1], not an OverflowError."""
+        with pytest.raises(ValueError, match=r"a must lie in \[0, 1\]"):
+            fn(sign * 10**400, 0.5)
+        with pytest.raises(ValueError, match=r"c must lie in \[0, 1\]"):
+            fn(0.5, sign * 10**400)
+
     def test_agrees_with_a_60_digit_solve(self):
         # Reference: Q x = h solved by Cramer's rule in 60-digit arithmetic on
         # the float a and c.  Each x_j = C + log2 r_j is measured against the

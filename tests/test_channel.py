@@ -58,7 +58,7 @@ class TestBinaryChannel:
             binary_channel(-0.1, 0.5)
         with pytest.raises(ValueError):
             binary_channel(0.1, 1.5)
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, 10**400, -(10**400)):
             with pytest.raises(ValueError):
                 binary_channel(bad, 0.5)
             with pytest.raises(ValueError):

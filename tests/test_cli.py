@@ -366,7 +366,7 @@ class TestSolveChannel:
             return _closed_form(*args)
 
         monkeypatch.setattr("chancap.binary._closed_form", counted)
-        monkeypatch.setattr("chancap.cli._closed_form", counted, raising=False)
+        monkeypatch.setattr("chancap.dispatch._closed_form", counted)
         assert run(["--a", "0.3", "--c", "0.9"]) == EXIT_OK
         result = parse_report(capsys.readouterr().out)
         assert result.method == "binary_closed_form"
@@ -956,6 +956,26 @@ class TestConsoleScript:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_import_closure(self):
+        """A fresh ``import chancap.cli`` loads what ``import numpy, json,
+        dataclasses`` loads, the package's own modules and ``gc``, nothing
+        more: a cold call pays for no other import."""
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def loaded(statement):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), statement
+            return set(proc.stdout.split())
+
+        extra = loaded("import chancap.cli") - loaded("import numpy, json, dataclasses")
+        assert {"chancap.cli", "chancap.dispatch"} <= extra
+        assert {m for m in extra if m != "chancap" and not m.startswith("chancap.")} <= {"gc"}
 
     def test_main_freezes_the_heap_and_run_does_not(self, monkeypatch, capsys, unfreeze):
         argv = ["--a", "-0.2", "--c", "0.5"]

@@ -378,8 +378,8 @@ class TestOneValidityRule:
 
 class TestLogConfig:
     def test_base_must_exceed_one(self):
-        for bad in (1.0, 0.5, -2.0):
-            with pytest.raises(ValueError):
+        for bad in (1.0, 0.5, -2.0, 10**400, -(10**400)):
+            with pytest.raises(ValueError, match="log base must be finite and > 1"):
                 LogConfig(base=bad)
 
     def test_frozen(self):

@@ -155,7 +155,13 @@ class TestHelperValidation:
         with pytest.raises(ValueError, match=match):
             optimal_output(aux, 1.0)
 
-    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf, True, "1.0", None, np.array([1.0])])
+    @pytest.mark.parametrize(
+        "capacity",
+        [
+            math.nan, math.inf, -math.inf, True, "1.0", None, np.array([1.0]),
+            pytest.param(10**400, id="int_beyond_float"), pytest.param(-(10**400), id="negative_int_beyond_float"),
+        ],
+    )
     def test_capacity(self, capacity):
         with pytest.raises(ValueError, match="capacity must be a finite real"):
             optimal_output([0.0, -2.0], capacity)

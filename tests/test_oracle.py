@@ -57,6 +57,9 @@ class TestOracleConfig:
             OracleConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OracleConfig(grid_resolution=1)
+        for huge in (10**400, -(10**400)):  # an int too large for a float
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                OracleConfig(tolerance=huge)
 
     @pytest.mark.parametrize("field", ["max_iterations", "grid_resolution"])
     @pytest.mark.parametrize("value", [1e6, 2.5, 10.0, np.float64(100.0), True, np.True_, False, np.False_])
