@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .entropy import LogConfig, _DEFAULT, _as_float
+from .entropy import LogConfig, _DEFAULT, _as_float, _config
 
 #: ``binary_aux`` raises for |c - a| at or below this; nothing else uses it.
 DEGENERATE_TOL = 1e-12
@@ -112,7 +112,7 @@ def _closed_form(a, c):
 
 def binary_capacity(a, c, cfg: LogConfig = None):
     """Capacity of ((1-a, a), (1-c, c)) in units of log base ``cfg.base``; 0.0 if a == c."""
-    cfg = _DEFAULT if cfg is None else cfg
+    cfg = _config(cfg, _DEFAULT)
     return _closed_form(*_check_binary(a, c))[0] / math.log(cfg.base)
 
 
@@ -120,17 +120,20 @@ def binary_optimal_output(a, c, cfg: LogConfig = None):
     """Capacity-achieving output distribution (r1, r2); (1 - a, a) when a == c.
 
     ``cfg`` only fixes units elsewhere; the maximizing distribution itself
-    does not depend on the log base, so it is accepted and ignored.
+    does not depend on the log base, so it is checked like any config
+    argument and otherwise ignored.
     """
+    _config(cfg, _DEFAULT)
     return np.array(_closed_form(*_check_binary(a, c))[2])
 
 
 def binary_optimal_input(a, c, cfg: LogConfig = None):
     """Capacity-achieving input distribution (p1, p2); (1/2, 1/2) when a == c.
 
-    Base independent (``cfg`` accepted for symmetry with binary_capacity).
-    For 0 < a, c < 1 both entries provably lie in [1/e, 1 - 1/e], and the
-    computed ones do too, to rounding, for every |c - a| > 0: nothing
-    cancelling is divided by c - a.
+    Base independent (``cfg`` is checked, for symmetry with binary_capacity,
+    and otherwise ignored).  For 0 < a, c < 1 both entries provably lie in
+    [1/e, 1 - 1/e], and the computed ones do too, to rounding, for every
+    |c - a| > 0: nothing cancelling is divided by c - a.
     """
+    _config(cfg, _DEFAULT)
     return np.array(_closed_form(*_check_binary(a, c))[1])

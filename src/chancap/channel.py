@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .binary import _check_binary
-from .entropy import LogConfig, _DEFAULT, _check_pair, _log_b, _log_pos, check_channel  # check_channel: re-export
+from .entropy import LogConfig, _DEFAULT, _check_pair, _config, _log_b, _log_pos, check_channel  # check_channel: re-export
 
 #: Output columns with mass below this are excluded from the gradient sum.
 GRADIENT_OUTPUT_FLOOR = 1e-300
@@ -64,7 +64,7 @@ def channel_mutual_information(p, q, cfg: LogConfig = None):
     never touches log(0): whenever ``p_i q_ij > 0`` the output mass ``r_j``
     is positive too.
     """
-    cfg = cfg or _DEFAULT
+    cfg = _config(cfg, _DEFAULT)
     p, q = _check_pair(p, q)
     r = p @ q
     w = p[:, None] * q
@@ -81,7 +81,7 @@ def mi_gradient(p, q, cfg: LogConfig = None):
     has unbounded slope on the simplex boundary), so a boundary point raises
     ``ValueError``.
     """
-    cfg = cfg or _DEFAULT
+    cfg = _config(cfg, _DEFAULT)
     p, q = _check_pair(p, q)
     if np.any(p <= 0.0):
         raise ValueError("gradient requires an interior point (all p_i > 0)")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .binary import _channel_ac, _closed_form
 from .channel import _bracket, check_channel
-from .entropy import _DEFAULT, LogConfig, _log_pos
+from .entropy import _DEFAULT, LogConfig, _config, _log_pos
 from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, _inverse, _muroga, feasible_input
 from .oracle import _DEFAULT_ORACLE, OracleConfig, _blahut_arimoto, _grid_search_binary
 
@@ -59,8 +59,8 @@ def capacity(q, method="auto", cfg: LogConfig = None, oracle: OracleConfig = Non
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    cfg = _DEFAULT if cfg is None else cfg
-    oracle = _DEFAULT_ORACLE if oracle is None else oracle
+    cfg = _config(cfg, _DEFAULT)
+    oracle = _config(oracle, _DEFAULT_ORACLE)
     return _solve(check_channel(q), method, cfg, oracle)
 
 

@@ -9,6 +9,7 @@ logarithm ``log*``, which assigns an arbitrary finite value ``w`` to
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ SUM_TOL = 1e-12
 
 #: Entries in [NEG_CLAMP, 0) are treated as rounding noise and clamped to 0.
 NEG_CLAMP = -1e-15
+
+
+def _is_real(x):
+    """Whether ``x`` is a ``numbers.Real`` other than a bool: a Python or numpy
+    int or float, or a Fraction; never a str, a complex or a numpy array."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _as_float(x):
@@ -35,18 +42,32 @@ class LogConfig:
 
     ``base=2`` measures information in bits.  ``star_value`` is the constant
     ``w`` returned by :func:`log_star` at zero; every formula in this package
-    multiplies it by a zero weight, so results never depend on it.
+    multiplies it by a zero weight, so results never depend on it.  Both are
+    finite real numbers, never a bool or a str; anything else raises
+    ValueError naming the field.
     """
 
     base: float = 2.0
     star_value: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(_as_float(self.base)) and self.base > 1.0):
-            raise ValueError(f"log base must be finite and > 1, got {self.base}")
+        if not (_is_real(self.base) and math.isfinite(_as_float(self.base)) and self.base > 1.0):
+            raise ValueError(f"log base must be finite and > 1, got {self.base!r}")
+        if not (_is_real(self.star_value) and math.isfinite(_as_float(self.star_value))):
+            raise ValueError(f"star_value must be a finite real number, got {self.star_value!r}")
 
 
 _DEFAULT = LogConfig()
+
+
+def _config(value, default):
+    """A config argument: ``default`` for None, ``value`` when it is an
+    instance of ``default``'s class; anything else raises ValueError."""
+    if value is None:
+        return default
+    if isinstance(value, type(default)):
+        return value
+    raise ValueError(f"expected {type(default).__name__} or None, got {value!r}")
 
 
 def _log_b(x, base):
@@ -216,7 +237,7 @@ def log_star(x, cfg: LogConfig = None):
 
     Accepts a scalar or an array; negative or NaN input raises ``ValueError``.
     """
-    cfg = cfg or _DEFAULT
+    cfg = _config(cfg, _DEFAULT)
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):
         raise ValueError("log_star is undefined for negative or NaN values")
@@ -230,7 +251,7 @@ def xlogx_star(x, cfg: LogConfig = None):
     Independent of ``cfg.star_value`` because the weight at zero is zero.
     Accepts a scalar or an array; negative or NaN input raises ``ValueError``.
     """
-    cfg = cfg or _DEFAULT
+    cfg = _config(cfg, _DEFAULT)
     arr = np.asarray(x, dtype=float)
     if not np.all(arr >= 0.0):
         raise ValueError("xlogx_star is undefined for negative or NaN values")
@@ -245,14 +266,12 @@ def entropy(p, cfg: LogConfig = None):
     the result depends only on the multiset of probabilities: permuting the
     vector or appending zero-probability outcomes cannot change it.
     """
-    cfg = cfg or _DEFAULT
     arr = check_distribution(p)
     return -math.fsum(xlogx_star(arr, cfg)) + 0.0
 
 
 def joint_entropy(joint, cfg: LogConfig = None):
     """Entropy of a joint table: the entropy of the flattened cell vector."""
-    cfg = cfg or _DEFAULT
     cells = check_joint(joint)
     return -math.fsum(xlogx_star(cells.ravel(), cfg)) + 0.0
 
@@ -269,7 +288,6 @@ def conditional_entropy(p, q, cfg: LogConfig = None):
     Returns:
         ``sum_i p_i * H(row_i)``; rows with ``p_i = 0`` contribute zero.
     """
-    cfg = cfg or _DEFAULT
     p, q = _check_pair(p, q)
     row_entropies = [-math.fsum(xlogx_star(row, cfg)) for row in q]
     return math.fsum(p_i * h_i for p_i, h_i in zip(p, row_entropies)) + 0.0
@@ -281,7 +299,6 @@ def mutual_information(joint, cfg: LogConfig = None):
     Nonnegative, and zero exactly when the table factorizes into the product
     of its marginals.
     """
-    cfg = cfg or _DEFAULT
     cells = check_joint(joint)
     h_joint = -math.fsum(xlogx_star(cells.ravel(), cfg))
     h_x = -math.fsum(xlogx_star(cells.sum(axis=1), cfg))

@@ -27,13 +27,12 @@ uses it as its polish.  The formula itself is evaluated only by
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import _bracket, _divergences, check_channel
-from .entropy import LogConfig, _DEFAULT, _as_float, _as_float_array, _log_b, _log_pos
+from .entropy import LogConfig, _DEFAULT, _as_float, _as_float_array, _config, _is_real, _log_b, _log_pos
 
 #: Raw inputs with entries no more negative than this count as feasible.
 INPUT_FEASIBILITY_TOL = 1e-12
@@ -144,7 +143,7 @@ def _muroga(q, logq, base):
 
 def solve_auxiliary(q, cfg: LogConfig = None):
     """Solve Q x = h, h_i = sum_j q_ij log_b q_ij, for the auxiliary vector x."""
-    cfg = _DEFAULT if cfg is None else cfg
+    cfg = _config(cfg, _DEFAULT)
     q = _check_square_channel(q)
     _inverse(q)
     return _muroga(q, _log_pos(q, cfg.base), cfg.base)[0]
@@ -156,7 +155,7 @@ def capacity_from_aux(aux, cfg: LogConfig = None):
     ``aux`` must be a non-empty, finite, 1-D array; anything else raises
     ValueError.
     """
-    cfg = _DEFAULT if cfg is None else cfg
+    cfg = _config(cfg, _DEFAULT)
     aux = _as_float_array(aux, "aux")[0]
     if aux.ndim != 1:
         raise ValueError(f"aux must be 1-D, got shape {aux.shape}")
@@ -171,11 +170,11 @@ def optimal_output(aux, capacity, cfg: LogConfig = None):
     ``aux`` must be a non-empty, finite, 1-D array and ``capacity`` a finite
     real number, not a bool; anything else raises ValueError.
     """
-    cfg = _DEFAULT if cfg is None else cfg
+    cfg = _config(cfg, _DEFAULT)
     aux = _as_float_array(aux, "aux")[0]
     if aux.ndim != 1:
         raise ValueError(f"aux must be 1-D, got shape {aux.shape}")
-    if isinstance(capacity, bool) or not (isinstance(capacity, numbers.Real) and math.isfinite(_as_float(capacity))):
+    if not (_is_real(capacity) and math.isfinite(_as_float(capacity))):
         raise ValueError(f"capacity must be a finite real, got {capacity!r}")
     return _exp_b(aux - capacity, cfg.base)
 
@@ -183,15 +182,18 @@ def optimal_output(aux, capacity, cfg: LogConfig = None):
 def optimal_input(q, opt_output):
     """Pull the output distribution back through F = Q^{-1}: p = F^T r.
 
-    Entries may be negative; that is the infeasible case, not an error.
-    ``opt_output`` must be finite and 1-D of the channel's order; anything
-    else raises ValueError.
+    Solves ``Q^T p = r`` by LU, as ``muroga_capacity`` does, so the two give
+    the same bytes.  Entries may be negative; that is the infeasible case,
+    not an error.  ``opt_output`` must be finite and 1-D of the channel's
+    order; anything else raises ValueError, and a channel the singularity
+    rule rejects raises SingularChannelError.
     """
     q = _check_square_channel(q)
     r = _as_float_array(opt_output, "opt_output")[0]
     if r.shape != (q.shape[0],):
         raise ValueError(f"output distribution shape {r.shape} does not match channel {q.shape}")
-    return _inverse(q).T @ r
+    _inverse(q)
+    return np.linalg.solve(q.T, r)
 
 
 def feasible_input(opt_input_raw):
@@ -214,7 +216,7 @@ def muroga_capacity(q, cfg: LogConfig = None) -> MurogaSolution:
     SingularChannelError) and evaluates the formula (``_muroga``) on the
     checked channel and its masked logs.
     """
-    cfg = _DEFAULT if cfg is None else cfg
+    cfg = _config(cfg, _DEFAULT)
     q = _check_square_channel(q)
     f = _inverse(q)
     aux, capacity, r, p_raw = _muroga(q, _log_pos(q, cfg.base), cfg.base)

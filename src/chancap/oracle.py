@@ -21,7 +21,7 @@ import numpy as np
 
 from .binary import _channel_ac, _closed_form
 from .channel import _bracket, check_channel
-from .entropy import LogConfig, _DEFAULT, _as_float, _check_pair, _log_pos, xlogx_star
+from .entropy import LogConfig, _DEFAULT, _as_float, _check_pair, _config, _is_real, _log_pos, xlogx_star
 from .muroga import _active_set, feasible_input
 
 
@@ -29,7 +29,7 @@ from .muroga import _active_set, feasible_input
 class OracleConfig:
     """Stopping and resolution knobs shared by the iterative solvers.
 
-    ``tolerance`` is a positive finite number, never a bool.
+    ``tolerance`` is a positive finite real number, never a bool or a str.
     ``max_iterations`` and ``grid_resolution`` are counts: a Python or numpy
     integer, never a bool or a float, even an integral one.
     """
@@ -39,7 +39,7 @@ class OracleConfig:
     grid_resolution: int = 10**6
 
     def __post_init__(self):
-        if isinstance(self.tolerance, (bool, np.bool_)):
+        if not _is_real(self.tolerance):
             raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
         if not (math.isfinite(_as_float(self.tolerance)) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
@@ -73,7 +73,7 @@ def capacity_bounds(p, q, cfg: LogConfig = None):
     The lower bound is the mutual information of p itself; the upper bound
     is the largest single-input divergence, which dominates the capacity.
     """
-    cfg = _DEFAULT if cfg is None else cfg
+    cfg = _config(cfg, _DEFAULT)
     p, q = _check_pair(p, q)
     _, lower, upper = _bracket(q, _log_pos(q, cfg.base), p, cfg.base)
     return lower, upper
@@ -144,8 +144,8 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     This entry point checks ``q`` and runs the core, ``_blahut_arimoto``, on
     the checked channel and its masked logs.
     """
-    cfg = _DEFAULT if cfg is None else cfg
-    oracle = _DEFAULT_ORACLE if oracle is None else oracle
+    cfg = _config(cfg, _DEFAULT)
+    oracle = _config(oracle, _DEFAULT_ORACLE)
     q = check_channel(q)
     return _blahut_arimoto(q, _log_pos(q, cfg.base), cfg, oracle)
 
@@ -238,8 +238,8 @@ def grid_search_binary(q, cfg: LogConfig = None, oracle: OracleConfig = None) ->
     This entry point checks ``q`` and runs the core, ``_grid_search_binary``,
     on the checked channel.
     """
-    cfg = _DEFAULT if cfg is None else cfg
-    oracle = _DEFAULT_ORACLE if oracle is None else oracle
+    cfg = _config(cfg, _DEFAULT)
+    oracle = _config(oracle, _DEFAULT_ORACLE)
     return _grid_search_binary(check_channel(q), cfg, oracle)
 
 

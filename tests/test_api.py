@@ -2,6 +2,9 @@
 one-line diff."""
 
 import importlib
+import inspect
+import pickle
+import re
 
 import pytest
 
@@ -68,3 +71,70 @@ def test_every_public_name_resolves():
 def test_removed_module_is_gone():
     with pytest.raises(ImportError):
         importlib.import_module("chancap.linalg")
+
+
+# Positional arguments, before any config, for every public callable that
+# takes a ``cfg`` or an ``oracle``.  A new one fails
+# ``test_config_table_covers_every_config_parameter`` until it is added here.
+_Q2 = [[0.9, 0.1], [0.2, 0.8]]
+_Q3 = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]]
+_JOINT = [[0.3, 0.2], [0.1, 0.4]]
+_AUX = [-1.0, -0.5, 0.0]
+CONFIG_ARGS = {
+    "log_star": ([0.0, 0.5],),
+    "xlogx_star": ([0.0, 0.5],),
+    "entropy": ([0.25, 0.75],),
+    "joint_entropy": (_JOINT,),
+    "conditional_entropy": ([0.5, 0.5], _Q2),
+    "mutual_information": (_JOINT,),
+    "channel_mutual_information": ([0.5, 0.5], _Q2),
+    "mi_gradient": ([0.5, 0.5], _Q2),
+    "binary_capacity": (0.1, 0.8),
+    "binary_optimal_input": (0.1, 0.8),
+    "binary_optimal_output": (0.1, 0.8),
+    "capacity": (_Q3,),
+    "solve_auxiliary": (_Q3,),
+    "capacity_from_aux": (_AUX,),
+    "optimal_output": (_AUX, 1.0),
+    "muroga_capacity": (_Q3,),
+    "capacity_bounds": ([0.5, 0.5], _Q2),
+    "blahut_arimoto": (_Q3,),
+    "grid_search_binary": (_Q2,),
+}
+CONFIG_CLASSES = {"cfg": chancap.LogConfig, "oracle": chancap.OracleConfig}
+
+
+def _config_parameters():
+    """``(function name, parameter)`` for each config parameter in ``__all__``."""
+    found = []
+    for name in chancap.__all__:
+        obj = getattr(chancap, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters
+            found += [(name, param) for param in CONFIG_CLASSES if param in params]
+    return found
+
+
+CONFIG_PARAMETERS = _config_parameters()
+CONFIG_IDS = [f"{name}-{param}" for name, param in CONFIG_PARAMETERS]
+
+
+def test_config_table_covers_every_config_parameter():
+    assert {name for name, _ in CONFIG_PARAMETERS} == set(CONFIG_ARGS)
+
+
+@pytest.mark.parametrize("name, param", CONFIG_PARAMETERS, ids=CONFIG_IDS)
+def test_config_default_is_none_or_the_default_instance(name, param):
+    func, args = getattr(chancap, name), CONFIG_ARGS[name]
+    expected = pickle.dumps(func(*args))
+    assert pickle.dumps(func(*args, **{param: None})) == expected
+    assert pickle.dumps(func(*args, **{param: CONFIG_CLASSES[param]()})) == expected
+
+
+@pytest.mark.parametrize("name, param", CONFIG_PARAMETERS, ids=CONFIG_IDS)
+def test_config_of_another_type_raises(name, param):
+    func, args, cls = getattr(chancap, name), CONFIG_ARGS[name], CONFIG_CLASSES[param]
+    other = next(c for c in CONFIG_CLASSES.values() if c is not cls)
+    for bad in (0, "", False, 10, 1e-9, {}, other()):
+        with pytest.raises(ValueError, match=f"expected {cls.__name__} or None, got {re.escape(repr(bad))}"):
+            func(*args, **{param: bad})

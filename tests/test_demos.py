@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree.
+
+Each runs under ``-X dev -W error``, so a warning fails the demo as it
+fails an in-process test.
+"""
 
 import os
 import subprocess
@@ -14,7 +18,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},

@@ -378,9 +378,22 @@ class TestOneValidityRule:
 
 class TestLogConfig:
     def test_base_must_exceed_one(self):
-        for bad in (1.0, 0.5, -2.0, 10**400, -(10**400)):
+        not_real = ("3", None, b"3", True, np.True_, 3 + 0j, np.array([3.0]))
+        for bad in (1.0, 0.5, -2.0, 10**400, -(10**400), math.nan, math.inf, *not_real):
             with pytest.raises(ValueError, match="log base must be finite and > 1"):
                 LogConfig(base=bad)
+
+    @pytest.mark.parametrize(
+        "bad", [None, "0", True, np.False_, math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+    )
+    def test_star_value_must_be_a_finite_real_number(self, bad):
+        with pytest.raises(ValueError, match="star_value must be a finite real number"):
+            LogConfig(star_value=bad)
+
+    @pytest.mark.parametrize("base, star", [(3, -1), (np.float64(10.0), np.float32(-5.0)), (np.int64(3), 7)])
+    def test_real_number_fields_accepted(self, base, star):
+        cfg = LogConfig(base=base, star_value=star)
+        assert log_star([0.0, 1.0], cfg).tolist() == [float(star), 0.0]
 
     def test_frozen(self):
         cfg = LogConfig()

@@ -207,6 +207,15 @@ class TestOptimalDistributions:
         p = optimal_input(binary_channel(0.0, 0.5), np.array([0.8, 0.2]))
         np.testing.assert_allclose(p, [0.6, 0.4], atol=1e-14)
 
+    def test_input_matches_the_pipeline_bytes(self):
+        # The same LU solve of Q^T p = r as muroga_capacity, not F^T r.
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            q = rng.dirichlet(np.full(n, 0.7), size=n)
+            sol = muroga_capacity(q)
+            assert optimal_input(q, sol.opt_output).tobytes() == sol.opt_input_raw.tobytes()
+
     def test_input_sums_to_one_even_when_negative(self):
         sol = muroga_capacity(INFEASIBLE_3X3)
         assert abs(math.fsum(sol.opt_input_raw) - 1.0) <= 1e-10

@@ -50,16 +50,17 @@ class TestOracleConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(tolerance=0.0)
-        for flag in (True, np.True_):
+        for bad in (True, np.True_, "1e-9", None, b"1", 1e-9j):
             with pytest.raises(ValueError, match="tolerance must be a number"):
-                OracleConfig(tolerance=flag)
+                OracleConfig(tolerance=bad)
         with pytest.raises(ValueError):
             OracleConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OracleConfig(grid_resolution=1)
-        for huge in (10**400, -(10**400)):  # an int too large for a float
+        # 10**400 is an int too large for a float.
+        for bad in (math.nan, math.inf, -1e-9, 10**400, -(10**400)):
             with pytest.raises(ValueError, match="tolerance must be positive"):
-                OracleConfig(tolerance=huge)
+                OracleConfig(tolerance=bad)
 
     @pytest.mark.parametrize("field", ["max_iterations", "grid_resolution"])
     @pytest.mark.parametrize("value", [1e6, 2.5, 10.0, np.float64(100.0), True, np.True_, False, np.False_])
