@@ -49,11 +49,12 @@ print("output r     :", r, " sum =", r.sum())
 print("input p      :", p, " sum =", p.sum())
 
 # The one-call wrapper runs the same two LU solves and flags feasibility.
-# Its x is the x above, and pulling its own r back gives its p byte for
-# byte; C and r agree with the steps above only to rounding, since the
-# wrapper normalizes r by its sum rather than by b**C.
+# Its x and C are the x and C above, and pulling its own r back gives its
+# p byte for byte; r agrees with the steps above only to rounding, since
+# the wrapper normalizes r by its sum rather than by b**C.
 sol = muroga_capacity(q)
 assert np.array_equal(sol.aux, x)
+assert cap == sol.capacity
 assert np.array_equal(optimal_input(q, sol.opt_output), sol.opt_input_raw)
 print("feasible     :", sol.feasible)
 print("I(p*; Q)     :", channel_mutual_information(sol.opt_input_raw, q))

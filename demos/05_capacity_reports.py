@@ -76,7 +76,7 @@ with tempfile.TemporaryDirectory() as tmpdir:
     report = parse_report(out)
     print()
     print("fallback_used:", report.fallback_used, " method:", report.method)
-    print("raw closed form:", report.diagnostics["muroga_capacity_raw"])
+    print("raw Muroga C   :", report.diagnostics["muroga_capacity_raw"])
     print("true capacity  :", report.capacity)
 
     # Channel files may carry their own base and method; flags still win.

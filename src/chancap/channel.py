@@ -95,8 +95,6 @@ def mi_gradient(p, q, cfg: LogConfig = None):
 
 def _check_perm(perm, q, axis):
     # A repeated, missing or boolean index would duplicate or drop symbols.
-    if q.ndim != 2:
-        raise ValueError(f"channel must be 2-D, got shape {q.shape}")
     n, perm = q.shape[axis], np.asarray(perm)
     if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError(f"perm must be a permutation of range({n}), got {perm.tolist()}")
@@ -104,15 +102,20 @@ def _check_perm(perm, q, axis):
 
 
 def relabel_inputs(p, q, perm):
-    """Permute the input symbols of (p, Q) together; ``perm`` orders Q's rows."""
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    """Permute the input symbols of (p, Q) together; ``perm`` orders Q's rows.
+
+    ``p`` must pass ``check_distribution`` and ``q`` ``check_channel``, with
+    one row of ``q`` per entry of ``p``; anything else raises ValueError.
+    """
+    p, q = _check_pair(p, q)
     perm = _check_perm(perm, q, 0)
-    if p.shape != q.shape[:1]:
-        raise ValueError(f"input shape {p.shape} does not match {q.shape[0]} channel rows")
     return p[perm], q[perm, :]
 
 
 def relabel_outputs(q, perm):
-    """Permute the output symbols of Q; ``perm`` orders its columns."""
-    q = np.asarray(q, dtype=float)
+    """Permute the output symbols of Q; ``perm`` orders its columns.
+
+    ``q`` must pass ``check_channel``; anything else raises ValueError.
+    """
+    q = check_channel(q)
     return q[:, _check_perm(perm, q, 1)]

@@ -3,7 +3,10 @@
 Exit codes: 0 success, 2 malformed input file or bad flags, 3 invalid
 matrix (bad probabilities, wrong shape for the chosen method, singular
 where invertibility is required), 4 solver hit the iteration limit (the
-report is still written, with the achieved bounds in diagnostics).
+report is still written, with the achieved bounds in diagnostics).  The
+flags and the file are checked before the channel, so a call with a bad
+flag and a bad channel exits 2, whether the channel comes from a file or
+from ``--a`` and ``--c``.
 
 The JSON report is byte-deterministic: fixed field order, diagnostics keys
 sorted, every real rendered with 17 significant digits so values round-trip
@@ -216,17 +219,6 @@ def ingest_matrix(raw):
     return check_channel(raw)
 
 
-def solve_channel(q, method, cfg, ocfg):
-    """``dispatch._solve`` on a checked channel ``q``: (CapacityResult, exit code).
-
-    The exit code is EXIT_OK, or EXIT_NO_CONVERGENCE where Blahut-Arimoto
-    stopped at its iteration cap.  Raises ValueError (SingularChannelError
-    among them) for matrix-vs-method mismatches; ``run`` maps those to exit 3.
-    """
-    result, converged = _solve(q, method, cfg, ocfg)
-    return result, EXIT_OK if converged else EXIT_NO_CONVERGENCE
-
-
 #: The command line, one row per flag: flag -> (metavar, converter, default,
 #: help text, choices).  A flag with choices shows them as its metavar.
 _FLAGS = {
@@ -358,14 +350,6 @@ def run(argv=None) -> int:
         except ChannelFileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_FILE
-    else:
-        # Valid as built: a and c are checked, so every entry lies in [0, 1]
-        # and each row sums to 1 within one ulp; ingest would only copy it.
-        try:
-            q = binary_channel(opts["--a"], opts["--c"])
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_MATRIX
 
     base, method = opts["--base"], opts["--method"] or file_method or "auto"
     if base is None:
@@ -383,15 +367,16 @@ def run(argv=None) -> int:
         return EXIT_BAD_FILE
 
     try:
-        if matrix is not None:
-            q = ingest_matrix(raw)
-        result, code = solve_channel(q, method, cfg, ocfg)
+        # binary_channel checks a and c, so every entry lies in [0, 1] and
+        # each row sums to 1 within one ulp; ingest would only copy its q.
+        q = ingest_matrix(raw) if matrix is not None else binary_channel(opts["--a"], opts["--c"])
+        result, converged = _solve(q, method, cfg, ocfg)
     except ValueError as exc:  # SingularChannelError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MATRIX
 
     print(emit_report(result, opts["--format"]))
-    return code
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def main():

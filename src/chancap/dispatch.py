@@ -14,7 +14,7 @@ import numpy as np
 from .binary import _channel_ac, _closed_form
 from .channel import _bracket, check_channel
 from .entropy import _DEFAULT, LogConfig, _config, _log_pos
-from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, _inverse, _muroga, feasible_input
+from .muroga import INPUT_FEASIBILITY_TOL, SingularChannelError, _muroga, feasible_input
 from .oracle import _DEFAULT_ORACLE, OracleConfig, _blahut_arimoto, _grid_search_binary
 
 METHODS = ("auto", "binary", "muroga", "blahut-arimoto", "grid")
@@ -102,10 +102,12 @@ def _solve(q, method, cfg, ocfg):
     Under ``auto`` an infeasible explicit answer falls back to
     Blahut-Arimoto with ``fallback_used``, and a channel that the
     singularity rule rejects goes to Blahut-Arimoto directly; neither hands
-    it anything.  On a 2x2 channel Blahut-Arimoto tries the closed form
-    again before its first sweep and accepts it by its bracket alone, so a
-    closed form rejected only by its capacity term, at a tolerance near
-    rounding, returns at sweep 1.  A Blahut-Arimoto or grid answer is
+    it anything.  A fallback keeps the explicit capacity under its solver's
+    name, ``muroga_capacity_raw`` or ``binary_closed_form_capacity_raw``.
+    On a 2x2 channel Blahut-Arimoto tries the closed form again before its
+    first sweep and accepts it by its bracket alone, so a closed form
+    rejected only by its capacity term, at a tolerance near rounding,
+    returns at sweep 1.  A Blahut-Arimoto or grid answer is
     feasible unless it is a fallback, and only Blahut-Arimoto can return
     unconverged.  Raises ValueError / SingularChannelError for
     matrix-vs-method mismatches.
@@ -134,9 +136,8 @@ def _solve(q, method, cfg, ocfg):
                 solver, capacity, diag = "binary_closed_form", capacity / math.log(cfg.base), {"det": c - a}
                 raw, r = np.array(raw), np.array(r)
             else:
-                _inverse(q)
-                _, capacity, r, raw = _muroga(q, logq, cfg.base)
-                solver, diag = "muroga", {}
+                sol = _muroga(q, logq, cfg.base)
+                solver, capacity, raw, r, diag = "muroga", sol.capacity, sol.opt_input_raw, sol.opt_output, {}
         except SingularChannelError:
             if method != "auto":
                 raise
@@ -154,7 +155,7 @@ def _solve(q, method, cfg, ocfg):
     res = _blahut_arimoto(q, logq, cfg, ocfg)
     diag = {"iterations": float(res.iterations)}
     if fallback is not None:
-        diag.update(muroga_capacity_raw=fallback, oracle_capacity=res.capacity)
+        diag.update({f"{solver}_capacity_raw": fallback, "oracle_capacity": res.capacity})
     return _report(
         q, cfg, "blahut_arimoto", res.capacity, res.input_dist, None, diag,
         (res.capacity, res.upper), fallback is None, fallback_used=fallback is not None,

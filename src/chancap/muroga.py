@@ -14,10 +14,10 @@ unconstrained stationary point lies outside the simplex and C is only an
 upper bound on the true capacity.  Callers should fall back to an iterative
 solver in that case.
 
-``_muroga`` evaluates the formula and ``_inverse`` the singularity rule;
-the public ``solve`` and ``inverse`` expose the rule on any square matrix.
-``muroga_capacity`` is a channel check, then the rule, then the formula;
-the command line runs the same two steps on the channel it has checked.
+``_muroga`` applies the singularity rule, ``_inverse``, and evaluates the
+formula; the public ``solve`` and ``inverse`` expose the rule on any square
+matrix.  ``muroga_capacity`` is a channel check, then ``_muroga``; the
+command line runs ``_muroga`` on the channel it has checked.
 
 For Q of any shape, ``_active_set`` solves the same system on a support S
 that grows and shrinks, d_S = C and sum p_S = 1, by Newton's method, and
@@ -121,47 +121,56 @@ def _exp_b(t, base):
     return np.exp(np.asarray(t, dtype=float) * math.log(base))
 
 
-def _muroga(q, logq, base):
-    """Muroga's formula, above, on a square float matrix: ``(x, C, r, p)``.
+def _log_sum_exp(x, base):
+    """``(C, r)``: C = log_b sum_j b**x_j and r = b**(x - C), as w / sum w.
 
-    ``logq`` is the masked log_b of ``q``; C is taken with the max of x
-    shifted out, and a C within 1e-12 below 0, roundoff on a near-zero
-    capacity channel, reads 0.  p is the one solution of d = C, sum p = 1,
-    possibly outside the simplex.  Raises ``LinAlgError`` when LAPACK finds
-    ``q`` exactly singular; a condition-number rule is the caller's.
+    The max of x is shifted out before the sum, and a C within 1e-12 below
+    0, roundoff on a near-zero capacity channel, reads 0.
     """
-    x = np.linalg.solve(q, (q * logq).sum(axis=1))
     top = x.max()
     w = _exp_b(x - top, base)
     total = w.sum()
-    r = w / total
     capacity = float(top + _log_b(total, base))
     if -1e-12 < capacity < 0.0:
         capacity = 0.0
-    return x, capacity, r, np.linalg.solve(q.T, r)
+    return capacity, w / total
+
+
+def _muroga(q, logq, base):
+    """Muroga's formula, above, on a checked square channel: a MurogaSolution.
+
+    ``logq`` is the masked log_b of ``q``.  The singularity rule
+    (``_inverse``) runs first and raises SingularChannelError, so no solve
+    of the formula sees a matrix the rule rejects.  C and r are
+    ``_log_sum_exp`` of x, and p is the one solution of d = C, sum p = 1,
+    possibly outside the simplex.
+    """
+    f = _inverse(q)
+    x = np.linalg.solve(q, (q * logq).sum(axis=1))
+    capacity, r = _log_sum_exp(x, base)
+    p = np.linalg.solve(q.T, r)
+    feasible = bool(np.all(p >= -INPUT_FEASIBILITY_TOL))
+    return MurogaSolution(aux=x, capacity=capacity, opt_output=r, opt_input_raw=p, feasible=feasible, inverse=f)
 
 
 def solve_auxiliary(q, cfg: LogConfig = None):
     """Solve Q x = h, h_i = sum_j q_ij log_b q_ij, for the auxiliary vector x."""
     cfg = _config(cfg, _DEFAULT)
     q = _check_square_channel(q)
-    _inverse(q)
-    return _muroga(q, _log_pos(q, cfg.base), cfg.base)[0]
+    return _muroga(q, _log_pos(q, cfg.base), cfg.base).aux
 
 
 def capacity_from_aux(aux, cfg: LogConfig = None):
-    """C = log_b sum_j b**x_j, evaluated with the max shifted out.
+    """C = log_b sum_j b**x_j, as ``muroga_capacity`` takes it from its x.
 
-    ``aux`` must be a non-empty, finite, 1-D array; anything else raises
-    ValueError.
+    A C within 1e-12 below 0 reads 0, as there.  ``aux`` must be a
+    non-empty, finite, 1-D array; anything else raises ValueError.
     """
     cfg = _config(cfg, _DEFAULT)
     aux = _as_float_array(aux, "aux")[0]
     if aux.ndim != 1:
         raise ValueError(f"aux must be 1-D, got shape {aux.shape}")
-    m = float(aux.max())
-    total = math.fsum(_exp_b(aux - m, cfg.base))
-    return m + float(_log_b(total, cfg.base))
+    return _log_sum_exp(aux, cfg.base)[0]
 
 
 def optimal_output(aux, capacity, cfg: LogConfig = None):
@@ -197,8 +206,14 @@ def optimal_input(q, opt_output):
 
 
 def feasible_input(opt_input_raw):
-    """Clamp tiny negative entries to zero and renormalize, for reporting."""
+    """Clamp tiny negative entries to zero and renormalize, for reporting.
+
+    ``opt_input_raw`` must be 1-D; anything else raises ValueError, as does
+    a NaN, an infinity or no positive mass.
+    """
     p = np.asarray(opt_input_raw, dtype=float).copy()
+    if p.ndim != 1:
+        raise ValueError(f"opt_input_raw must be 1-D, got shape {p.shape}")
     p[p < 0.0] = 0.0
     try:
         total = math.fsum(p.tolist())
@@ -212,23 +227,13 @@ def feasible_input(opt_input_raw):
 def muroga_capacity(q, cfg: LogConfig = None) -> MurogaSolution:
     """Run the full explicit pipeline on a square invertible channel.
 
-    Checks ``q``, applies the singularity rule (``_inverse``, which raises
-    SingularChannelError) and evaluates the formula (``_muroga``) on the
-    checked channel and its masked logs.
+    Checks ``q``, then runs ``_muroga`` on the checked channel and its
+    masked logs; a channel the singularity rule rejects raises
+    SingularChannelError.
     """
     cfg = _config(cfg, _DEFAULT)
     q = _check_square_channel(q)
-    f = _inverse(q)
-    aux, capacity, r, p_raw = _muroga(q, _log_pos(q, cfg.base), cfg.base)
-    feasible = bool(np.all(p_raw >= -INPUT_FEASIBILITY_TOL))
-    return MurogaSolution(
-        aux=aux,
-        capacity=capacity,
-        opt_output=r,
-        opt_input_raw=p_raw,
-        feasible=feasible,
-        inverse=f,
-    )
+    return _muroga(q, _log_pos(q, cfg.base), cfg.base)
 
 
 #: The active set takes as support the inputs with at least this share of

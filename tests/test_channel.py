@@ -247,6 +247,15 @@ class TestRelabeling:
         with pytest.raises(ValueError, match=r"2-D, got shape \(2,\)"):
             relabel_outputs([0.5, 0.5], [0, 1])
 
+    def test_rejects_invalid_probabilities(self):
+        """These were permuted and returned unchecked."""
+        with pytest.raises(ValueError, match="transition matrix contains non-finite entries"):
+            relabel_outputs([[math.nan, 1.0]], [0, 1])
+        with pytest.raises(ValueError, match="transition matrix has negative entries"):
+            relabel_outputs([[2.0, -1.0]], [1, 0])
+        with pytest.raises(ValueError, match="distribution contains non-finite entries"):
+            relabel_inputs([math.inf, -3.0], [[0.9, 0.1], [0.2, 0.8]], [1, 0])
+
     @pytest.mark.parametrize("p", [[0.5, 0.3, 0.2], [1.0]])
     def test_rejects_input_of_wrong_length(self, p):
         """A longer p came back truncated, no longer a distribution; a

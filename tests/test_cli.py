@@ -27,6 +27,7 @@ from chancap import (
     binary_capacity,
     binary_channel,
     blahut_arimoto,
+    capacity,
     capacity_bounds,
     check_channel,
     muroga_capacity,
@@ -41,13 +42,13 @@ from chancap.cli import (
     CapacityResult,
     ChannelFileError,
     _parse_args,
+    _usage,
     emit_report,
     ingest_matrix,
     main,
     parse_report,
     read_channel_file,
     run,
-    solve_channel,
 )
 
 INFEASIBLE_3X3 = [[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]
@@ -225,8 +226,8 @@ MISTYPED_FIELDS = [
 
 class TestReports:
     def _sample(self):
-        result, code = solve_channel(ingest_matrix(np.array([[1.0, 0.0], [0.5, 0.5]])), "auto", CFG, OCFG)
-        assert code == EXIT_OK
+        result, converged = capacity(ingest_matrix(np.array([[1.0, 0.0], [0.5, 0.5]])), "auto", CFG, OCFG)
+        assert converged
         return result
 
     def test_json_round_trip_exact(self):
@@ -262,8 +263,8 @@ class TestReports:
     def test_text_diagnostics_split_into_key_and_value(self):
         """Every diagnostics line is a key, a space, a value, whatever the key's
         length; a report whose keys are all short keeps the 14-column layout."""
-        fallback, _ = solve_channel(ingest_matrix(np.array(INFEASIBLE_3X3)), "auto", CFG, OCFG)
-        grid, _ = solve_channel(ingest_matrix(binary_q(0.1, 0.7)), "grid", CFG, OCFG)
+        fallback, _ = capacity(ingest_matrix(np.array(INFEASIBLE_3X3)), "auto", CFG, OCFG)
+        grid, _ = capacity(ingest_matrix(binary_q(0.1, 0.7)), "grid", CFG, OCFG)
         assert "muroga_capacity_raw" in fallback.diagnostics and "grid_resolution" in grid.diagnostics
         for result in (fallback, grid, self._sample()):
             lines = emit_report(result, "text").splitlines()
@@ -327,8 +328,8 @@ class TestReports:
 
 class TestSolveChannel:
     def test_auto_2x2_uses_closed_form(self):
-        result, code = solve_channel(ingest_matrix(np.array([[1.0, 0.0], [0.5, 0.5]])), "auto", CFG, OCFG)
-        assert code == EXIT_OK
+        result, converged = capacity(ingest_matrix(np.array([[1.0, 0.0], [0.5, 0.5]])), "auto", CFG, OCFG)
+        assert converged
         assert result.method == "binary_closed_form"
         assert result.capacity == pytest.approx(math.log2(1.25), abs=1e-12)
         assert result.feasible and not result.fallback_used
@@ -344,15 +345,15 @@ class TestSolveChannel:
             if abs(c - a) <= 1e-3:
                 continue
             q = binary_channel(a, c)
-            auto, _ = solve_channel(q, "auto", cfg, OCFG)
-            ba, code = solve_channel(q, "blahut-arimoto", cfg, OCFG)
-            assert code == EXIT_OK and ba.diagnostics["iterations"] == 1.0, q
+            auto, _ = capacity(q, "auto", cfg, OCFG)
+            ba, converged = capacity(q, "blahut-arimoto", cfg, OCFG)
+            assert converged and ba.diagnostics["iterations"] == 1.0, q
             assert ba.optimal_input == auto.optimal_input, q
             assert ba.diagnostics["gap"] == auto.diagnostics["gap"], q
 
     def test_auto_square_uses_explicit_solver(self):
-        result, code = solve_channel(ingest_matrix(np.eye(3)), "auto", CFG, OCFG)
-        assert code == EXIT_OK
+        result, converged = capacity(ingest_matrix(np.eye(3)), "auto", CFG, OCFG)
+        assert converged
         assert result.method == "muroga"
         assert result.capacity == pytest.approx(math.log2(3.0), abs=1e-12)
 
@@ -375,15 +376,15 @@ class TestSolveChannel:
 
     def test_auto_feasible_square_runs_explicit_solver_once(self, murogas):
         q = ingest_matrix(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
-        result, code = solve_channel(q, "auto", CFG, OCFG)
-        assert code == EXIT_OK
+        result, converged = capacity(q, "auto", CFG, OCFG)
+        assert converged
         assert result.method == "muroga" and result.feasible
         assert len(murogas) == 1
 
     def test_auto_infeasible_falls_back_to_oracle(self):
         q = ingest_matrix(np.array(INFEASIBLE_3X3))
-        result, code = solve_channel(q, "auto", CFG, OCFG)
-        assert code == EXIT_OK
+        result, converged = capacity(q, "auto", CFG, OCFG)
+        assert converged
         assert result.method == "blahut_arimoto"
         assert result.fallback_used and not result.feasible
         raw = result.diagnostics["muroga_capacity_raw"]
@@ -393,42 +394,42 @@ class TestSolveChannel:
 
     def test_auto_singular_square_uses_oracle_without_fallback_flag(self):
         q = ingest_matrix(np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]))
-        result, code = solve_channel(q, "auto", CFG, OCFG)
-        assert code == EXIT_OK
+        result, converged = capacity(q, "auto", CFG, OCFG)
+        assert converged
         assert result.method == "blahut_arimoto"
         assert result.feasible and not result.fallback_used
 
     def test_auto_non_square_uses_oracle(self):
         q = ingest_matrix(np.array([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]]))
-        result, _ = solve_channel(q, "auto", CFG, OCFG)
+        result, _ = capacity(q, "auto", CFG, OCFG)
         assert result.method == "blahut_arimoto"
 
     def test_degenerate_2x2_reports_zero(self):
-        result, code = solve_channel(ingest_matrix(np.array([[0.7, 0.3], [0.7, 0.3]])), "auto", CFG, OCFG)
-        assert code == EXIT_OK
+        result, converged = capacity(ingest_matrix(np.array([[0.7, 0.3], [0.7, 0.3]])), "auto", CFG, OCFG)
+        assert converged
         assert result.capacity == 0.0
         assert result.feasible
         assert result.optimal_input == (0.5, 0.5)
 
     def test_explicit_binary_on_larger_matrix_rejected(self):
         with pytest.raises(ValueError):
-            solve_channel(ingest_matrix(np.eye(3)), "binary", CFG, OCFG)
+            capacity(ingest_matrix(np.eye(3)), "binary", CFG, OCFG)
 
     def test_explicit_muroga_on_non_square_rejected(self):
         q = ingest_matrix(np.array([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]]))
         with pytest.raises(ValueError):
-            solve_channel(q, "muroga", CFG, OCFG)
+            capacity(q, "muroga", CFG, OCFG)
 
     def test_explicit_muroga_reports_infeasible_without_fallback(self):
-        result, code = solve_channel(ingest_matrix(np.array(INFEASIBLE_3X3)), "muroga", CFG, OCFG)
-        assert code == EXIT_OK
+        result, converged = capacity(ingest_matrix(np.array(INFEASIBLE_3X3)), "muroga", CFG, OCFG)
+        assert converged
         assert result.method == "muroga"
         assert not result.feasible and not result.fallback_used
         assert min(result.optimal_input) >= 0.0  # reported input is clamped
 
     def test_grid_method(self):
-        result, code = solve_channel(ingest_matrix(np.array([[1.0, 0.0], [0.5, 0.5]])), "grid", CFG, OCFG)
-        assert code == EXIT_OK
+        result, converged = capacity(ingest_matrix(np.array([[1.0, 0.0], [0.5, 0.5]])), "grid", CFG, OCFG)
+        assert converged
         assert result.method == "grid"
         assert result.capacity == pytest.approx(math.log2(1.25), abs=1e-9)
 
@@ -439,15 +440,15 @@ class TestSolveChannel:
             if abs(c - a) <= 1e-3:
                 continue
             q = ingest_matrix(np.array([[1.0 - a, a], [1.0 - c, c]]))
-            via_muroga, _ = solve_channel(q, "muroga", CFG, OCFG)
-            via_binary, _ = solve_channel(q, "binary", CFG, OCFG)
+            via_muroga, _ = capacity(q, "muroga", CFG, OCFG)
+            via_binary, _ = capacity(q, "binary", CFG, OCFG)
             assert via_muroga.capacity == pytest.approx(via_binary.capacity, abs=1e-10)
 
     def test_nonconvergence_exit_code(self):
         # A channel that neither the uniform input nor the polish settles by sweep 2.
         q = ingest_matrix(np.array(INFEASIBLE_3X3))
-        result, code = solve_channel(q, "blahut-arimoto", CFG, OracleConfig(max_iterations=2))
-        assert code == EXIT_NO_CONVERGENCE
+        result, converged = capacity(q, "blahut-arimoto", CFG, OracleConfig(max_iterations=2))
+        assert not converged
         assert result.diagnostics["iterations"] == 2.0
 
 
@@ -760,6 +761,57 @@ class TestRun:
         assert result.method == "blahut_arimoto" and result.fallback_used
         assert result.diagnostics["iterations"] == 1.0
         assert result.optimal_input == (0.5, 0.5)
+        # The closed form's capacity is kept under its own name: no Muroga solve ran.
+        assert result.diagnostics["binary_closed_form_capacity_raw"] == binary_capacity(0.1, 0.9)
+        assert "muroga_capacity_raw" not in result.diagnostics
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            pytest.param(
+                [*AC, "--bogus"], EXIT_BAD_FILE, "{usage}\ncapacity: error: unrecognized arguments: --bogus\n",
+                id="bad-flag",
+            ),
+            pytest.param(
+                ["--matrix", "{missing}"], EXIT_BAD_FILE,
+                "error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n",
+                id="unreadable-file",
+            ),
+            pytest.param(["--a", "2", "--c", "0.5"], EXIT_BAD_MATRIX, "error: a must lie in [0, 1], got 2.0\n", id="bad-a"),
+            pytest.param(
+                ["--a", "2", "--c", "0.5", "--tol", "-1"], EXIT_BAD_FILE, "error: tolerance must be positive, got -1.0\n",
+                id="bad-a-and-tol",
+            ),
+            pytest.param(
+                ["--matrix", "{bad}", "--tol", "-1"], EXIT_BAD_FILE, "error: tolerance must be positive, got -1.0\n",
+                id="bad-file-and-tol",
+            ),
+            pytest.param(
+                ["--a", "0.3", "--c", "0.3", "--method", "muroga"], EXIT_BAD_MATRIX, "error: Singular matrix\n",
+                id="singular-muroga",
+            ),
+            pytest.param(
+                ["--matrix", "{infeasible}", "--method", "blahut-arimoto", "--max-iter", "3"], EXIT_NO_CONVERGENCE, "",
+                id="iteration-cap",
+            ),
+        ],
+    )
+    def test_error_paths(self, tmp_path, capsys, argv, code, err):
+        """Exit code and stderr of each error path.  Flags are checked before
+        the channel, so a bad flag exits 2 whether the bad channel comes from
+        --a/--c or from a file."""
+        paths = {
+            "missing": str(tmp_path / "none.json"),
+            "bad": write_channel_file(tmp_path, "bad.json", {"matrix": [[0.9, 0.2], [0.5, 0.5]]}),
+            "infeasible": write_channel_file(tmp_path, "inf.json", {"matrix": INFEASIBLE_3X3}),
+        }
+        assert run([arg.format(**paths) for arg in argv]) == code
+        out, got = capsys.readouterr()
+        assert got == err.format(usage=_usage(), **paths)
+        if code == EXIT_NO_CONVERGENCE:
+            assert parse_report(out).diagnostics["iterations"] == 3.0
+        else:
+            assert out == ""
 
 
 def patch_everywhere(monkeypatch, fn, replacement):
@@ -1032,7 +1084,7 @@ class TestCapacityResultInvariants:
             (binary_q(0.0, 1e-300), "auto"),
         ]
         for raw, method in cases:
-            result, _ = solve_channel(ingest_matrix(raw), method, CFG, OCFG)
+            result, _ = capacity(ingest_matrix(raw), method, CFG, OCFG)
             if method == "auto" and raw.shape == (2, 2):
                 # The closed form is feasible on the whole square: no fallback.
                 assert result.method == "binary_closed_form", raw
@@ -1044,11 +1096,11 @@ class TestCapacityResultInvariants:
 
     def test_oracle_result_matches_library_call(self):
         q = ingest_matrix(np.array(INFEASIBLE_3X3))
-        result, _ = solve_channel(q, "blahut-arimoto", CFG, OCFG)
+        result, _ = capacity(q, "blahut-arimoto", CFG, OCFG)
         assert result.capacity == pytest.approx(blahut_arimoto(q).capacity, abs=1e-12)
 
     def test_binary_result_matches_library_call(self):
-        result, _ = solve_channel(ingest_matrix(np.array([[0.6, 0.4], [0.15, 0.85]])), "binary", CFG, OCFG)
+        result, _ = capacity(ingest_matrix(np.array([[0.6, 0.4], [0.15, 0.85]])), "binary", CFG, OCFG)
         assert result.capacity == binary_capacity(0.4, 0.85)
 
 
@@ -1088,10 +1140,10 @@ class TestCertificate:
             methods = ("auto", "blahut-arimoto")
         for cfg, method in itertools.product(self.CFGS, methods):
             try:
-                result, code = solve_channel(q, method, cfg, self.OCFG)
+                result, converged = capacity(q, method, cfg, self.OCFG)
             except SingularChannelError:
                 continue
-            if code != EXIT_OK:
+            if not converged:
                 continue
             p = np.array(result.optimal_input)
             assert np.all(p >= 0.0) and abs(math.fsum(p) - 1.0) <= 1e-12, (method, p)

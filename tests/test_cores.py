@@ -24,6 +24,7 @@ from chancap import (
     binary_optimal_input,
     binary_optimal_output,
     blahut_arimoto,
+    capacity,
     capacity_bounds,
     check_channel,
     feasible_input,
@@ -39,7 +40,6 @@ from chancap.cli import (
     emit_report,
     ingest_matrix,
     run,
-    solve_channel,
 )
 from chancap.entropy import _log_pos
 from chancap.muroga import INPUT_FEASIBILITY_TOL
@@ -122,10 +122,11 @@ class TestCoresEqualPublicSolvers:
 
 
 def reference_solve(q, method, cfg, ocfg):
-    """``solve_channel`` built from the public solvers, each of which checks
-    ``q`` again: a 2x2 explicit answer by the public closed form, a larger
-    one by ``muroga_capacity``, then ``blahut_arimoto`` from the uniform
-    input, ``grid_search_binary``, and every gap by ``capacity_bounds``."""
+    """``chancap.capacity`` with the command line's exit code, built from
+    the public solvers, each of which checks ``q`` again: a 2x2 explicit
+    answer by the public closed form, a larger one by ``muroga_capacity``,
+    then ``blahut_arimoto`` from the uniform input, ``grid_search_binary``,
+    and every gap by ``capacity_bounds``."""
     n, m = q.shape
     if method == "binary" and (n, m) != (2, 2):
         raise ValueError(f"binary method needs a 2x2 channel, got {n}x{m}")
@@ -173,7 +174,7 @@ def reference_solve(q, method, cfg, ocfg):
     res = blahut_arimoto(q, cfg, ocfg)
     diag = {"iterations": float(res.iterations)}
     if fallback is not None:
-        diag.update(muroga_capacity_raw=fallback, oracle_capacity=res.capacity)
+        diag.update({f"{name}_capacity_raw": fallback, "oracle_capacity": res.capacity})
     result = report(
         "blahut_arimoto", res.capacity, res.input_dist, None, diag,
         fallback_used=fallback is not None, bounds=(res.capacity, res.upper),
@@ -227,17 +228,27 @@ class TestAutoFallbackReusesMuroga:
         reference_solves = len(solves)
         murogas.clear()
         solves.clear()
-        got, code = solve_channel(q, "auto", cfg, ocfg)
+        got, converged = capacity(q, "auto", cfg, ocfg)
         assert len(murogas) == 1
         assert len(solves) == reference_solves
-        assert got.fallback_used and code == want_code
+        assert got.fallback_used and converged and want_code == EXIT_OK
         for fmt in ("json", "text"):
             assert emit_report(got, fmt) == emit_report(want, fmt)
 
-    def test_singular_square_evaluates_no_muroga(self, murogas):
-        """A square the singularity rule rejects goes to Blahut-Arimoto, which
-        does not evaluate Muroga's formula either."""
+    def test_singular_square_evaluates_no_muroga(self, murogas, monkeypatch):
+        """A square the singularity rule rejects goes to Blahut-Arimoto: the
+        one evaluation of Muroga's formula stops at the rule, before either
+        LU solve (Q x = h, Q^T p = r), and Blahut-Arimoto makes none."""
         q = ingest_matrix(np.array([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.1, 0.8]]))
-        got, _ = solve_channel(q, "auto", LogConfig(), OracleConfig())
-        assert murogas == [] and not got.fallback_used
+        matrices = []
+        real_solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            matrices.append(np.array(a))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        got, _ = capacity(q, "auto", LogConfig(), OracleConfig())
+        assert len(murogas) == 1 and not got.fallback_used
+        assert not [a for a in matrices if np.array_equal(a, q) or np.array_equal(a, q.T)]
         assert emit_report(got) == emit_report(reference_solve(q, "auto", LogConfig(), OracleConfig())[0])

@@ -1,14 +1,17 @@
-"""``chancap.capacity``, the library's certified answer, against the command
-line's ``solve_channel`` on the channel the command line checked."""
+"""``chancap.capacity``, the library's certified answer, against what the
+``capacity`` command reports for the same channel."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 import chancap
-from chancap import LogConfig, OracleConfig, blahut_arimoto, capacity, check_channel
-from chancap.cli import EXIT_BAD_MATRIX, EXIT_NO_CONVERGENCE, EXIT_OK, METHODS, emit_report, solve_channel
+from chancap import LogConfig, OracleConfig, blahut_arimoto, capacity
+from chancap.cli import EXIT_BAD_MATRIX, EXIT_NO_CONVERGENCE, EXIT_OK, METHODS, emit_report, run
 
 INFEASIBLE_3X3 = [[0.8, 0.1, 0.1], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]
 #: Channels that reach every branch: 2x2 closed forms (corners, a == c, an
@@ -29,48 +32,57 @@ CHANNELS = [
 ]
 BASES = (2.0, math.e, 10.0)
 #: Default stopping, and a cap of 3 sweeps that leaves most Blahut-Arimoto
-#: runs unconverged (exit 4); a small grid keeps the grid search cheap.
-ORACLES = (OracleConfig(grid_resolution=10**4), OracleConfig(max_iterations=3, grid_resolution=10**4))
+#: runs unconverged (exit 4).
+ORACLES = (OracleConfig(), OracleConfig(max_iterations=3))
 
 
-def outcome(fn, *args):
-    """A call's result (its repr and both reports) and second value, or the ValueError it raised."""
+def command(path, argv=()):
+    """(exit code, stdout, stderr) of the ``capacity`` command on a channel file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["--matrix", str(path), *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def library(raw, method, cfg, ocfg, fmt="json"):
+    """``capacity`` as the command would print it: (exit code, stdout, stderr)."""
     try:
-        result, second = fn(*args)
+        result, converged = capacity(raw, method, cfg, ocfg)
     except ValueError as exc:
-        return "raised", (type(exc), str(exc)), None
-    return "returned", (repr(result), emit_report(result), emit_report(result, "text")), second
+        return EXIT_BAD_MATRIX, "", f"error: {exc}\n"
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE, emit_report(result, fmt) + "\n", ""
 
 
-def test_capacity_is_solve_channel_on_the_checked_channel():
-    """Field by field (repr prints each float exactly) and in both report
-    formats, over every method, base and oracle; ``converged`` is false
-    exactly where the command line exits 4, and both raise alike."""
+def write_channel(path, raw):
+    path.write_text(json.dumps({"matrix": np.asarray(raw).tolist()}), encoding="utf-8")
+    return path
+
+
+def test_capacity_is_what_the_command_reports(tmp_path):
+    """Over every method, base and cap, in both formats: exit code, stdout
+    and stderr of the command are those of ``capacity`` on the same
+    channel; ``converged`` is false exactly where the command exits 4, and
+    the command exits 3 with the message ``capacity`` raises."""
     codes = set()
-    for raw in CHANNELS:
-        q = check_channel(raw)
+    for i, raw in enumerate(CHANNELS):
+        path = write_channel(tmp_path / f"q{i}.json", raw)
         for base in BASES:
             cfg = LogConfig(base=base)
             for ocfg in ORACLES:
                 for method in METHODS:
-                    case = (raw, base, ocfg, method)
-                    kind, want, code = outcome(solve_channel, q, method, cfg, ocfg)
-                    got_kind, got, converged = outcome(capacity, raw, method, cfg, ocfg)
-                    assert (got_kind, got) == (kind, want), case
-                    if kind == "raised":
-                        codes.add(EXIT_BAD_MATRIX)
-                        continue
-                    codes.add(code)
-                    assert type(converged) is bool, case
-                    assert code == (EXIT_OK if converged else EXIT_NO_CONVERGENCE), case
+                    for fmt in ("json", "text"):
+                        argv = ["--base", repr(base), "--max-iter", str(ocfg.max_iterations), "--method", method]
+                        want = library(raw, method, cfg, ocfg, fmt)
+                        assert command(path, [*argv, "--format", fmt]) == want, (raw, argv, fmt)
+                        codes.add(want[0])
     assert codes == {EXIT_OK, EXIT_BAD_MATRIX, EXIT_NO_CONVERGENCE}
 
 
-def test_defaults_are_the_command_lines():
+def test_defaults_are_the_command_lines(tmp_path):
     q = np.array(INFEASIBLE_3X3)
     result, converged = capacity(q)
     assert (result, converged) == capacity(q, "auto", LogConfig(), OracleConfig())
-    assert converged and result == solve_channel(check_channel(q), "auto", LogConfig(), OracleConfig())[0]
+    assert converged and command(write_channel(tmp_path / "q.json", q)) == (EXIT_OK, emit_report(result) + "\n", "")
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,14 @@ class TestCapacityFromAux:
         c = capacity_from_aux([0.0, 0.0, 0.0], LogConfig(base=3.0))
         assert c == pytest.approx(1.0, abs=1e-14)
 
+    def test_is_the_pipelines_capacity(self):
+        """The step takes C from x as ``muroga_capacity`` does, to the byte."""
+        rng = np.random.default_rng(3)
+        for i in range(2000):
+            n = int(rng.integers(2, 9))
+            sol = muroga_capacity(rng.dirichlet(np.full(n, 0.7), size=n))
+            assert capacity_from_aux(sol.aux) == sol.capacity, i
+
 
 class TestHelperValidation:
     """The public helpers of Muroga's formula reject what they cannot use,
@@ -240,6 +248,12 @@ class TestOptimalDistributions:
     def test_feasible_input_rejects_non_finite_or_empty_mass(self, raw):
         with pytest.raises(ValueError, match="finite positive mass"):
             feasible_input(np.array(raw))
+
+    @pytest.mark.parametrize("raw", [[[0.5], [0.5]], 0.5], ids=["2-D", "0-D"])
+    def test_feasible_input_rejects_input_that_is_not_1d(self, raw):
+        """These raised TypeError inside math.fsum."""
+        with pytest.raises(ValueError, match=r"opt_input_raw must be 1-D, got shape \("):
+            feasible_input(raw)
 
 
 class TestMurogaCapacity:
@@ -358,10 +372,10 @@ class TestMurogaCapacity:
             if not sol.feasible:
                 continue
             checked += 1
-            _, capacity, r, p = _muroga(q, _log_pos(q, 2.0), 2.0)
-            assert sol.capacity == capacity
-            np.testing.assert_array_equal(sol.opt_input_raw, p)
-            np.testing.assert_array_equal(sol.opt_output, r)
+            got = _muroga(q, _log_pos(q, 2.0), 2.0)
+            assert sol.capacity == got.capacity
+            np.testing.assert_array_equal(sol.opt_input_raw, got.opt_input_raw)
+            np.testing.assert_array_equal(sol.opt_output, got.opt_output)
 
 
 class TestActiveSet:

@@ -22,7 +22,7 @@ from chancap import (
 )
 from chancap.channel import check_channel
 from chancap.entropy import _DEFAULT, _log_pos, xlogx_star
-from chancap.muroga import SUPPORT_SHARE, _add_input, _muroga, feasible_input
+from chancap.muroga import SUPPORT_SHARE, SingularChannelError, _add_input, _muroga, feasible_input
 from chancap.oracle import _DEFAULT_ORACLE, GridResult
 
 
@@ -272,7 +272,7 @@ class TestNewtonPolish:
         they reached before the explicit solution existed."""
         q = DUPLICATE_ROW_3X3
         logq = _log_pos(q, 2.0)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(SingularChannelError):
             _muroga(q, logq, 2.0)
         res = blahut_arimoto(q)
         assert res.converged
@@ -353,7 +353,7 @@ class TestNewtonPolish:
 
 
 def _raise_singular(*args):
-    raise np.linalg.LinAlgError("Muroga's formula disabled")
+    raise SingularChannelError("Muroga's formula disabled")
 
 
 def _symmetric(n, eps):
@@ -368,7 +368,7 @@ def _flat_infeasible_squares():
     for n in range(3, 9):
         while len(out) < 3 * (n - 2):
             q = rng.dirichlet(np.ones(n), size=n)
-            if _muroga(q, _log_pos(q, 2.0), 2.0)[3].min() < -1e-3:
+            if _muroga(q, _log_pos(q, 2.0), 2.0).opt_input_raw.min() < -1e-3:
                 out.append(q)
     return out
 
