@@ -34,6 +34,7 @@ BASES = (2.0, math.e, 10.0)
 #: Default stopping, and a cap of 3 sweeps that leaves most Blahut-Arimoto
 #: runs unconverged (exit 4).
 ORACLES = (OracleConfig(), OracleConfig(max_iterations=3))
+FORMATS = ("json", "text")
 
 
 def command(path, argv=()):
@@ -44,13 +45,15 @@ def command(path, argv=()):
     return code, out.getvalue(), err.getvalue()
 
 
-def library(raw, method, cfg, ocfg, fmt="json"):
-    """``capacity`` as the command would print it: (exit code, stdout, stderr)."""
+def library(raw, method, cfg, ocfg):
+    """``capacity`` as the command would print it, by format: (exit code, stdout, stderr)."""
     try:
         result, converged = capacity(raw, method, cfg, ocfg)
     except ValueError as exc:
-        return EXIT_BAD_MATRIX, "", f"error: {exc}\n"
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE, emit_report(result, fmt) + "\n", ""
+        return dict.fromkeys(FORMATS, (EXIT_BAD_MATRIX, "", f"error: {exc}\n"))
+    assert type(converged) is bool, (raw, method)
+    code = EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    return {fmt: (code, emit_report(result, fmt) + "\n", "") for fmt in FORMATS}
 
 
 def write_channel(path, raw):
@@ -61,8 +64,8 @@ def write_channel(path, raw):
 def test_capacity_is_what_the_command_reports(tmp_path):
     """Over every method, base and cap, in both formats: exit code, stdout
     and stderr of the command are those of ``capacity`` on the same
-    channel; ``converged`` is false exactly where the command exits 4, and
-    the command exits 3 with the message ``capacity`` raises."""
+    channel; ``converged`` is a bool, false exactly where the command exits
+    4, and the command exits 3 with the message ``capacity`` raises."""
     codes = set()
     for i, raw in enumerate(CHANNELS):
         path = write_channel(tmp_path / f"q{i}.json", raw)
@@ -70,9 +73,8 @@ def test_capacity_is_what_the_command_reports(tmp_path):
             cfg = LogConfig(base=base)
             for ocfg in ORACLES:
                 for method in METHODS:
-                    for fmt in ("json", "text"):
-                        argv = ["--base", repr(base), "--max-iter", str(ocfg.max_iterations), "--method", method]
-                        want = library(raw, method, cfg, ocfg, fmt)
+                    argv = ["--base", repr(base), "--max-iter", str(ocfg.max_iterations), "--method", method]
+                    for fmt, want in library(raw, method, cfg, ocfg).items():
                         assert command(path, [*argv, "--format", fmt]) == want, (raw, argv, fmt)
                         codes.add(want[0])
     assert codes == {EXIT_OK, EXIT_BAD_MATRIX, EXIT_NO_CONVERGENCE}
