@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .entropy import LogConfig, _DEFAULT, _as_float, _config
+from .entropy import LogConfig, _DEFAULT, _as_float, _config, _is_real
 
 #: ``binary_aux`` raises for |c - a| at or below this; nothing else uses it.
 DEGENERATE_TOL = 1e-12
@@ -25,11 +25,13 @@ class DegenerateChannelError(ValueError):
 
 
 def _check_binary(a, c):
-    a, c = _as_float(a), _as_float(c)
+    """(a, c) as floats; each must be a real number, not a bool, in [0, 1]."""
     for name, value in (("a", a), ("c", c)):
-        if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return a, c
+        if not _is_real(value):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not 0.0 <= _as_float(value) <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {_as_float(value)!r}")
+    return _as_float(a), _as_float(c)
 
 
 def _channel_ac(q):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import binary_channel, check_channel
 from .dispatch import METHODS, CapacityResult, _fmt, _solve
-from .entropy import _DEFAULT as _DEFAULT_LOG, SUM_TOL, LogConfig, _as_float_array, _unsettled
+from .entropy import _DEFAULT as _DEFAULT_LOG, SUM_TOL, LogConfig, _as_float_array
 from .oracle import _DEFAULT_ORACLE, OracleConfig
 
 EXIT_OK = 0
@@ -196,16 +196,25 @@ def read_channel_file(path):
 
 
 def ingest_matrix(raw):
-    """Apply the loose row-sum tolerance, renormalize with a warning, validate."""
-    raw, lo, _ = _as_float_array(raw, "matrix")
-    # numpy's sums settle the common case, every row within SUM_TOL of 1, by
-    # the bound in entropy._check_cells; a sum that overflows stays unsettled.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = raw.sum(axis=1)
-        # With no negative entry, the sum of |x| is the row sum itself.
-        magnitudes = sums if lo >= 0.0 else np.abs(raw).sum(axis=1)
-    if not _unsettled(sums, magnitudes, raw.shape[1]):
-        return check_channel(raw)
+    """A channel file's matrix as a checked channel, under the loose row-sum rule.
+
+    ``raw`` must be a non-empty, finite, 2-D table of real numbers.  A row
+    whose exact sum is off 1 by more than SUM_TOL but at most
+    INGEST_ROW_SUM_TOL is divided by that sum, with a warning on stderr; a
+    row further off raises ValueError.  The result is ``check_channel`` of
+    the rows so settled.
+
+    With no negative entry, a row's sum in ``check_channel`` is the file's
+    own sum, so a matrix that ``check_channel`` accepts needs no settling and
+    is returned as is; only a rejected one, or one with a negative entry,
+    is summed again here.
+    """
+    raw, lo, _ = _as_float_array(raw, "matrix", 2)
+    if lo >= 0.0:
+        try:
+            return check_channel(raw)
+        except ValueError:
+            pass
     try:
         sums = np.array([math.fsum(row) for row in raw.tolist()])
     except OverflowError as exc:  # finite entries near the float limit
@@ -227,8 +236,8 @@ _FLAGS = {
     "--c": ("C", float, None, "P(output 2 | input 2) for the binary shortcut", None),
     "--base": ("BASE", float, None, "log base (default 2)", None),
     "--method": (None, str, None, "solver (default auto)", METHODS),
-    "--tol": ("TOL", float, 1e-9, "stopping gap, absolute in the report's units", None),
-    "--max-iter": ("MAX_ITER", int, 100000, "iteration cap", None),
+    "--tol": ("TOL", float, _DEFAULT_ORACLE.tolerance, "stopping gap, absolute in the report's units", None),
+    "--max-iter": ("MAX_ITER", int, _DEFAULT_ORACLE.max_iterations, "iteration cap", None),
     "--format": (None, str, "json", "report format (default json)", ("json", "text")),
 }
 _LONG_NAMES = ("--help", *_FLAGS)
@@ -344,25 +353,20 @@ def run(argv=None) -> int:
 
     matrix = opts["--matrix"]
     file_base = file_method = None
-    if matrix is not None:
-        try:
-            raw, file_base, file_method = read_channel_file(matrix)
-        except ChannelFileError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_FILE
-
-    base, method = opts["--base"], opts["--method"] or file_method or "auto"
-    if base is None:
-        base = 2.0 if file_base is None else file_base
-    tol, max_iter = opts["--tol"], opts["--max-iter"]
     try:
+        if matrix is not None:
+            raw, file_base, file_method = read_channel_file(matrix)
+        base, method = opts["--base"], opts["--method"] or file_method or "auto"
+        if base is None:
+            base = _DEFAULT_LOG.base if file_base is None else file_base
+        tol, max_iter = opts["--tol"], opts["--max-iter"]
         # The default configs are validated once, at import; equal fields
         # make an equal config, so reusing them changes no report.
         base = float(base)
         cfg = _DEFAULT_LOG if base == _DEFAULT_LOG.base else LogConfig(base=base)
         same = tol == _DEFAULT_ORACLE.tolerance and max_iter == _DEFAULT_ORACLE.max_iterations
         ocfg = _DEFAULT_ORACLE if same else OracleConfig(tolerance=tol, max_iterations=max_iter)
-    except ValueError as exc:
+    except ValueError as exc:  # ChannelFileError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
 

@@ -98,15 +98,27 @@ def _log_pos(x, base):
 _U = 2.0**-53
 
 
-def _as_float_array(x, name):
+def _real_array(x, name, copy=None):
+    """``np.array(x, dtype=float, copy=copy)``, where anything that holds no
+    real number, such as a complex, a dict or an arbitrary object, raises
+    ValueError naming ``name`` rather than numpy's TypeError."""
+    try:
+        return np.array(x, dtype=float, copy=copy)
+    except TypeError as exc:
+        raise ValueError(f"{name} must hold real numbers: {exc}") from None
+
+
+def _as_float_array(x, name, ndim=None):
     """``x`` as a fresh float array, with its smallest and largest entry.
 
+    ``x`` must be non-empty, finite and, unless ``ndim`` is None,
+    ``ndim``-dimensional; anything else raises ValueError naming ``name``.
     An int too large for a float reads as its float spelling, an infinity;
     NaN propagates through ``min`` and ``max``, so their finiteness is the
     finiteness of every entry.
     """
     try:
-        arr = np.array(x, dtype=float)
+        arr = _real_array(x, name, copy=True)
     except OverflowError:
         raise ValueError(f"{name} contains non-finite entries") from None
     if arr.size == 0:
@@ -114,19 +126,9 @@ def _as_float_array(x, name):
     lo, hi = arr.min(), arr.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} contains non-finite entries")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     return arr, lo, hi
-
-
-def _unsettled(sums, magnitudes, k):
-    """Indices of the totals that numpy's sums leave to ``math.fsum``.
-
-    ``sums`` and ``magnitudes`` hold numpy's sums of k terms per total and of
-    their absolute values.  A total is settled when
-    ``|ŝ - 1| <= SUM_TOL - (k+1)·u·M``, M the largest of 1 and the
-    magnitudes (the bound in :func:`_check_cells`); a NaN total never is.
-    """
-    tol = SUM_TOL - (k + 1) * _U * max(1.0, *magnitudes.tolist())
-    return [i for i, total in enumerate(sums.tolist()) if not abs(total - 1.0) <= tol]
 
 
 def _check_cells(x, name, ndim, per_row=False):
@@ -160,9 +162,7 @@ def _check_cells(x, name, ndim, per_row=False):
     ``fsum`` rejects, so verdict and message are those of summing every
     total exactly.
     """
-    arr, lo, hi = _as_float_array(x, name)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    arr, lo, hi = _as_float_array(x, name, ndim)
     if lo < NEG_CLAMP:
         raise ValueError(f"{name} has negative entries: min {lo}")
     if lo < 0.0:
@@ -170,8 +170,11 @@ def _check_cells(x, name, ndim, per_row=False):
     if hi > 1.0 + SUM_TOL:
         raise ValueError(f"{name} has entries above 1: max {hi}")
     rows = arr if per_row else arr.reshape(1, -1)
-    sums = rows.sum(axis=1)
-    for i in _unsettled(sums, sums, rows.shape[1]):
+    sums = rows.sum(axis=1).tolist()
+    settled = SUM_TOL - (rows.shape[1] + 1) * _U * max(1.0, *sums)
+    for i, total in enumerate(sums):
+        if abs(total - 1.0) <= settled:
+            continue
         # fsum over Python floats: the same exact sum, without numpy scalars.
         total = math.fsum(rows[i].tolist())
         if abs(total - 1.0) > SUM_TOL:
@@ -232,15 +235,22 @@ def normalize(p):
     return arr / total
 
 
+def _nonnegative(x, name):
+    """``x`` as a float array for the starred function ``name``, which is
+    undefined for a negative or NaN entry: those raise ValueError."""
+    arr = _real_array(x, name)
+    if not np.all(arr >= 0.0):
+        raise ValueError(f"{name} is undefined for negative or NaN values")
+    return arr
+
+
 def log_star(x, cfg: LogConfig = None):
     """Starred logarithm: ``log_b(x)`` for ``x > 0``, ``w`` at ``x = 0``.
 
     Accepts a scalar or an array; negative or NaN input raises ``ValueError``.
     """
     cfg = _config(cfg, _DEFAULT)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0.0):
-        raise ValueError("log_star is undefined for negative or NaN values")
+    arr = _nonnegative(x, "log_star")
     out = np.where(arr > 0.0, _log_pos(arr, cfg.base), cfg.star_value)
     return float(out) if arr.ndim == 0 else out
 
@@ -252,9 +262,7 @@ def xlogx_star(x, cfg: LogConfig = None):
     Accepts a scalar or an array; negative or NaN input raises ``ValueError``.
     """
     cfg = _config(cfg, _DEFAULT)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0.0):
-        raise ValueError("xlogx_star is undefined for negative or NaN values")
+    arr = _nonnegative(x, "xlogx_star")
     out = arr * _log_pos(arr, cfg.base) + 0.0  # + 0.0 turns -0.0 into 0.0
     return float(out) if arr.ndim == 0 else out
 

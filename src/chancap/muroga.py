@@ -16,14 +16,15 @@ solver in that case.
 
 ``_muroga`` applies the singularity rule, ``_inverse``, and evaluates the
 formula; the public ``solve`` and ``inverse`` expose the rule on any square
-matrix.  ``muroga_capacity`` is a channel check, then ``_muroga``; the
-command line runs ``_muroga`` on the channel it has checked.
+matrix.  ``muroga_capacity`` is a channel check, then ``_muroga``;
+``chancap.dispatch`` runs ``_muroga`` on the channel it has checked.
 
 For Q of any shape, ``_active_set`` solves the same system on a support S
 that grows and shrinks, d_S = C and sum p_S = 1, by Newton's method, and
 returns an input only with a certified bracket; ``oracle.blahut_arimoto``
 uses it as its polish.  The formula itself is evaluated only by
-``muroga_capacity``, ``solve_auxiliary`` and the command line.
+``muroga_capacity``, which ``solve_auxiliary`` calls, and by
+``chancap.dispatch``.
 """
 
 import math
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _bracket, _divergences, check_channel
-from .entropy import LogConfig, _DEFAULT, _as_float, _as_float_array, _config, _is_real, _log_b, _log_pos
+from .entropy import LogConfig, _DEFAULT, _as_float, _as_float_array, _config, _is_real, _log_b, _log_pos, _real_array
 
 #: Raw inputs with entries no more negative than this count as feasible.
 INPUT_FEASIBILITY_TOL = 1e-12
@@ -155,9 +156,7 @@ def _muroga(q, logq, base):
 
 def solve_auxiliary(q, cfg: LogConfig = None):
     """Solve Q x = h, h_i = sum_j q_ij log_b q_ij, for the auxiliary vector x."""
-    cfg = _config(cfg, _DEFAULT)
-    q = _check_square_channel(q)
-    return _muroga(q, _log_pos(q, cfg.base), cfg.base).aux
+    return muroga_capacity(q, cfg).aux
 
 
 def capacity_from_aux(aux, cfg: LogConfig = None):
@@ -167,10 +166,7 @@ def capacity_from_aux(aux, cfg: LogConfig = None):
     non-empty, finite, 1-D array; anything else raises ValueError.
     """
     cfg = _config(cfg, _DEFAULT)
-    aux = _as_float_array(aux, "aux")[0]
-    if aux.ndim != 1:
-        raise ValueError(f"aux must be 1-D, got shape {aux.shape}")
-    return _log_sum_exp(aux, cfg.base)[0]
+    return _log_sum_exp(_as_float_array(aux, "aux", 1)[0], cfg.base)[0]
 
 
 def optimal_output(aux, capacity, cfg: LogConfig = None):
@@ -180,9 +176,7 @@ def optimal_output(aux, capacity, cfg: LogConfig = None):
     real number, not a bool; anything else raises ValueError.
     """
     cfg = _config(cfg, _DEFAULT)
-    aux = _as_float_array(aux, "aux")[0]
-    if aux.ndim != 1:
-        raise ValueError(f"aux must be 1-D, got shape {aux.shape}")
+    aux = _as_float_array(aux, "aux", 1)[0]
     if not (_is_real(capacity) and math.isfinite(_as_float(capacity))):
         raise ValueError(f"capacity must be a finite real, got {capacity!r}")
     return _exp_b(aux - capacity, cfg.base)
@@ -211,7 +205,7 @@ def feasible_input(opt_input_raw):
     ``opt_input_raw`` must be 1-D; anything else raises ValueError, as does
     a NaN, an infinity or no positive mass.
     """
-    p = np.asarray(opt_input_raw, dtype=float).copy()
+    p = _real_array(opt_input_raw, "opt_input_raw", copy=True)
     if p.ndim != 1:
         raise ValueError(f"opt_input_raw must be 1-D, got shape {p.shape}")
     p[p < 0.0] = 0.0

@@ -5,11 +5,11 @@ on a 2x2 channel tries the binary closed form once, before the first sweep,
 and is polished at sweeps 4, 8, 16, ... by Muroga's system on an active set
 (``muroga._active_set``), and a grid search over the input simplex for
 binary channels that returns the best of all its grid points.  Muroga's
-explicit formula is not evaluated here: the command line offers it first on
-a square channel.  Nothing either oracle returns is trusted without the
-bracket, the one certificate that the explicit formulas are checked by too;
-the alternating scheme returns both ends of the bracket it accepted, so no
-caller need compute it again.
+explicit formula is not evaluated here: ``chancap.dispatch`` offers it
+first on a square channel.  Nothing either oracle returns is trusted
+without the bracket, the one certificate that the explicit formulas are
+checked by too; the alternating scheme returns both ends of the bracket it
+accepted, so no caller need compute it again.
 """
 
 import math
@@ -95,17 +95,17 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
 
     Explicit try.  A 2x2 channel's explicit answer is evaluated once, before
     the first sweep: the paper's closed form (``binary._closed_form``) at
-    the channel's (a, c), clamped into [0, 1] as the CLI clamps them, with
-    its input clamped onto the simplex as ``feasible_input`` does.  It needs
-    no linear solve, costs less than the uniform input's bracket it would
-    otherwise follow, and certifies to a few ulps where that bracket can
-    pass with a gap near the tolerance.  An accepted answer returns with
-    ``iterations`` 1; otherwise the sweeps go on exactly as without the
-    try.  Every one of 1998 random binary channels (|c - a| > 1e-3) settles
-    at sweep 1 this way, where the polish settled them at sweep 4.  A
-    larger square has no explicit try: Muroga's formula costs two linear
-    solves, and under ``auto`` the command line evaluates it first and
-    falls back here only when its answer is rejected.
+    the channel's (a, c), clamped into [0, 1] as ``chancap.dispatch``
+    clamps them, with its input clamped onto the simplex as
+    ``feasible_input`` does.  It needs no linear solve, costs less than the
+    uniform input's bracket it would otherwise follow, and certifies to a
+    few ulps where that bracket can pass with a gap near the tolerance.  An
+    accepted answer returns with ``iterations`` 1; otherwise the sweeps go
+    on exactly as without the try.  Every one of 1998 random binary
+    channels (|c - a| > 1e-3) settles at sweep 1 this way, where the polish
+    settled them at sweep 4.  A larger square has no explicit try: Muroga's
+    formula costs two linear solves, and under ``auto`` ``chancap.dispatch``
+    evaluates it first and falls back here only when its answer is rejected.
 
     Support bound.  The optimal output r* is unique, so the optimal inputs
     form a polytope, and each of its vertices has support at most
@@ -128,7 +128,7 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     the reported capacity is then that I(p).  Otherwise the sweeps go on.
     The closed form's capacity is not compared with its bracket, so at a
     tolerance near rounding this rule can accept a closed form that the
-    command line's rule, which also asks the capacity to lie within the
+    dispatcher's rule, which also asks the capacity to lie within the
     tolerance, rejected.  So correctness never rests on the closed form,
     the support guess, nor on which inputs were dropped or added; the
     capacity is nondecreasing in ``oracle.max_iterations`` (up to rounding

@@ -9,6 +9,7 @@ import re
 import pytest
 
 import chancap
+from chancap import cli
 
 PUBLIC = {
     "BAResult",
@@ -138,3 +139,47 @@ def test_config_of_another_type_raises(name, param):
     for bad in (0, "", False, 10, 1e-9, {}, other()):
         with pytest.raises(ValueError, match=f"expected {cls.__name__} or None, got {re.escape(repr(bad))}"):
             func(*args, **{param: bad})
+
+
+# Positional arguments that every public function accepts, and ``ingest_matrix``,
+# the command's reader of a channel file's matrix.  A new public function fails
+# ``test_argument_table_covers_every_public_function`` until it is added here.
+_P2 = [0.5, 0.5]
+ARGS = {
+    **CONFIG_ARGS,
+    "binary_aux": (0.1, 0.8),
+    "binary_channel": (0.1, 0.8),
+    "capacity": (_Q3, "auto"),
+    "check_channel": (_Q2,),
+    "check_distribution": ([0.25, 0.75],),
+    "check_joint": (_JOINT,),
+    "feasible_input": (_P2,),
+    "inverse": (_Q3,),
+    "joint_distribution": (_P2, _Q2),
+    "normalize": ([1.0, 3.0],),
+    "optimal_input": (_Q3, [0.3, 0.3, 0.4]),
+    "output_distribution": (_P2, _Q2),
+    "relabel_inputs": (_P2, _Q2, [1, 0]),
+    "relabel_outputs": (_Q2, [1, 0]),
+    "solve": (_Q3, [1.0, 2.0, 3.0]),
+    "ingest_matrix": (_Q2,),
+}
+FUNCTIONS = {name: getattr(chancap, name, None) for name in ARGS} | {"ingest_matrix": cli.ingest_matrix}
+
+
+def test_argument_table_covers_every_public_function():
+    public = {name for name in chancap.__all__ if inspect.isfunction(getattr(chancap, name))}
+    assert set(ARGS) == public | {"ingest_matrix"}
+    for name, func in FUNCTIONS.items():
+        func(*ARGS[name])  # every row of the table is a valid call
+
+
+@pytest.mark.parametrize("bad", [1 + 0j, object(), {}], ids=["complex", "object", "dict"])
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_non_numeric_argument_raises_value_error(name, bad):
+    """A complex, an object or a dict in any positional argument is a
+    ValueError, as any other invalid argument is, never numpy's TypeError."""
+    args = ARGS[name]
+    for slot in range(len(args)):
+        with pytest.raises(ValueError):
+            FUNCTIONS[name](*args[:slot], bad, *args[slot + 1 :])

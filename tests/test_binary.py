@@ -57,6 +57,20 @@ class TestBinaryAux:
         with pytest.raises(ValueError, match=r"c must lie in \[0, 1\]"):
             fn(0.5, sign * 10**400)
 
+    @pytest.mark.parametrize("fn", [binary_aux, binary_capacity, binary_channel, binary_optimal_input])
+    def test_a_and_c_are_real_numbers(self, fn):
+        """A str, a bool or None is no probability, though float() reads the
+        first two; a real number keeps its message, with its float value."""
+        for bad in ("0.3", True, None):
+            with pytest.raises(ValueError, match=f"a must be a real number, got {bad!r}"):
+                fn(bad, 0.5)
+            with pytest.raises(ValueError, match=f"c must be a real number, got {bad!r}"):
+                fn(0.5, bad)
+        with pytest.raises(ValueError, match=r"^a must lie in \[0, 1\], got 2\.0$"):
+            fn(2, 0.5)
+        with pytest.raises(ValueError, match=r"^c must lie in \[0, 1\], got nan$"):
+            fn(0.5, np.float64("nan"))
+
     def test_agrees_with_a_60_digit_solve(self):
         # Reference: Q x = h solved by Cramer's rule in 60-digit arithmetic on
         # the float a and c.  Each x_j = C + log2 r_j is measured against the

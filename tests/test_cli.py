@@ -160,6 +160,12 @@ class TestIngestMatrix:
         with pytest.raises(ValueError):
             ingest_matrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("raw", [[0.5, 0.5], 1.0, [[[0.5, 0.5]], [[0.2, 0.8]]]], ids=["1-D", "0-D", "3-D"])
+    def test_rejects_a_table_that_is_not_2_d(self, raw):
+        """A channel is a 2-D table: any other shape is a ValueError naming it."""
+        with pytest.raises(ValueError, match=rf"^matrix must be 2-D, got shape {re.escape(str(np.shape(raw)))}$"):
+            ingest_matrix(raw)
+
 
 #: Reals at the edges of the %.17g rendering: signed zeros, the least
 #: subnormal and the largest magnitudes.

@@ -1,6 +1,7 @@
 """Explicit square-channel capacity: auxiliary system, closed form, feasibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -401,3 +402,23 @@ class TestActiveSet:
                 assert lower == pytest.approx(capacity, abs=1e-12)
         if tol == 1e-9:
             assert answered == 2 * 51
+
+    def test_underflowed_output_mass_gives_up_without_a_solve(self, solves):
+        """An output that both inputs reach with the least subnormal mass
+        gets none from the uniform start: each half of 5e-324 rounds to 0.
+        The divergences stay finite (the output floor), but q / r in the
+        Jacobian is infinite, so the active set returns None before its
+        first linear solve, with no floating-point warning.  Blahut-Arimoto,
+        whose sweep-4 iterate no longer splits the mass evenly, still
+        settles there."""
+        q = np.array([[0.3, 0.7, 5e-324], [0.6, 0.4, 5e-324]])
+        uniform = np.full(2, 0.5)
+        assert (uniform @ q)[2] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _active_set(q, _log_pos(q, 2.0), uniform, 2.0, 1e-9) is None
+            assert solves == []
+            result = blahut_arimoto(q)
+        assert result.converged and result.iterations == 4
+        lower, upper = capacity_bounds(result.input_dist, q)
+        assert (lower, upper) == (result.capacity, result.upper)
