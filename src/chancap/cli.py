@@ -63,9 +63,7 @@ def emit_report(result: CapacityResult, format: str = "json") -> str:
     """Render a result as deterministic JSON or a small text table."""
     if format == "json":
         # encode_basestring_ascii is what json.dumps runs on a str.
-        diag = ", ".join(
-            encode_basestring_ascii(k) + ": " + _fmt(result.diagnostics[k]) for k in sorted(result.diagnostics)
-        )
+        diag = ", ".join([encode_basestring_ascii(k) + ": " + _fmt(v) for k, v in sorted(result.diagnostics.items())])
         return _JSON_REPORT % (
             _fmt(result.capacity),
             encode_basestring_ascii(result.units),
@@ -90,8 +88,7 @@ def emit_report(result: CapacityResult, format: str = "json") -> str:
             # Keys of 13 characters or fewer keep the 14-column layout; a
             # longer one widens it so that a space always precedes the value.
             width = max(14, 1 + max(map(len, result.diagnostics)))
-            for k in sorted(result.diagnostics):
-                lines.append(f"  {k:<{width}}{_fmt(result.diagnostics[k])}")
+            lines += [f"  {k:<{width}}{_fmt(v)}" for k, v in sorted(result.diagnostics.items())]
         return "\n".join(lines)
     raise ValueError(f"unknown report format {format!r}")
 

@@ -70,7 +70,8 @@ def _report(q, cfg, method, capacity, p, r, diagnostics, bounds, feasible, fallb
     ``bounds`` is the certificate ``(lower, upper)`` of the reported input
     ``p`` on the checked channel ``q``, as ``capacity_bounds(p, q, cfg)``
     computes it; ``diagnostics["gap"]`` records upper - lower.  ``r`` is the
-    method's own output distribution; without one the report shows ``p Q``.
+    method's own output distribution, a sequence of floats; without one the
+    report shows ``p Q``.
     """
     diagnostics["gap"] = bounds[1] - bounds[0]
     return CapacityResult(
@@ -78,7 +79,7 @@ def _report(q, cfg, method, capacity, p, r, diagnostics, bounds, feasible, fallb
         units=_units(cfg.base),
         method=method,
         optimal_input=tuple(p.tolist()),
-        optimal_output=tuple((p.dot(q) if r is None else r).tolist()),
+        optimal_output=tuple(p.dot(q).tolist() if r is None else r),
         feasible=feasible,
         fallback_used=fallback_used,
         diagnostics=diagnostics,
@@ -134,17 +135,16 @@ def _solve(q, method, cfg, ocfg):
                 a, c = _channel_ac(q)
                 capacity, raw, r = _closed_form(a, c)
                 solver, capacity, diag = "binary_closed_form", capacity / math.log(cfg.base), {"det": c - a}
-                raw, r = np.array(raw), np.array(r)
             else:
                 sol = _muroga(q, logq, cfg.base)
-                solver, capacity, raw, r, diag = "muroga", sol.capacity, sol.opt_input_raw, sol.opt_output, {}
+                solver, capacity, raw, r, diag = "muroga", sol.capacity, sol.opt_input_raw, sol.opt_output.tolist(), {}
         except SingularChannelError:
             if method != "auto":
                 raise
         else:
             p = feasible_input(raw)
             _, lower, upper = _bracket(q, logq, p, cfg.base)
-            raw_min = np.minimum.reduce(raw)
+            raw_min = min(raw)
             span = max(lower, upper, capacity) - min(lower, upper, capacity)
             feasible = bool(raw_min >= -INPUT_FEASIBILITY_TOL and span <= ocfg.tolerance)
             if feasible or method != "auto":

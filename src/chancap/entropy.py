@@ -10,6 +10,7 @@ logarithm ``log*``, which assigns an arbitrary finite value ``w`` to
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ NEG_CLAMP = -1e-15
 def _is_real(x):
     """Whether ``x`` is a ``numbers.Real`` other than a bool: a Python or numpy
     int or float, or a Fraction; never a str, a complex or a numpy array."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _as_float(x):
@@ -98,14 +99,32 @@ def _log_pos(x, base):
 _U = 2.0**-53
 
 
+#: numpy's one float64 dtype, which every float64 array it builds shares.
+_FLOAT = np.dtype(float)
+
+
 def _real_array(x, name, copy=None):
-    """``np.array(x, dtype=float, copy=copy)``, where anything that holds no
-    real number, such as a complex, a dict or an arbitrary object, raises
-    ValueError naming ``name`` rather than numpy's TypeError."""
+    """``x`` as a float64 array; ``copy`` is ``np.array``'s (True always copies).
+
+    numpy reads ``x`` once, and the kind of what it read decides.  A float64
+    array is returned as read; bools, ints and other floats are converted.
+    An object array, such as Fractions or ints beyond int64, is read entry
+    by entry with ``float``.  A str or bytes, even among objects, a complex,
+    a date, a dict or an arbitrary object raises ValueError naming ``name``,
+    as does an int beyond the float range, which reads as non-finite.
+    """
+    arr = np.array(x, copy=copy)
+    if arr.dtype is _FLOAT:
+        return arr
+    kind = arr.dtype.kind
+    if kind not in "biufO" or kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat):
+        raise ValueError(f"{name} must hold real numbers, got {reprlib.repr(x)}")
     try:
-        return np.array(x, dtype=float, copy=copy)
+        return arr.astype(float)
     except TypeError as exc:
         raise ValueError(f"{name} must hold real numbers: {exc}") from None
+    except OverflowError:
+        raise ValueError(f"{name} contains non-finite entries") from None
 
 
 def _as_float_array(x, name, ndim=None):
@@ -113,14 +132,10 @@ def _as_float_array(x, name, ndim=None):
 
     ``x`` must be non-empty, finite and, unless ``ndim`` is None,
     ``ndim``-dimensional; anything else raises ValueError naming ``name``.
-    An int too large for a float reads as its float spelling, an infinity;
     NaN propagates through ``min`` and ``max``, so their finiteness is the
     finiteness of every entry.
     """
-    try:
-        arr = _real_array(x, name, copy=True)
-    except OverflowError:
-        raise ValueError(f"{name} contains non-finite entries") from None
+    arr = _real_array(x, name, copy=True)
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
     lo, hi = arr.min(), arr.max()

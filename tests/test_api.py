@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -183,3 +184,49 @@ def test_non_numeric_argument_raises_value_error(name, bad):
     for slot in range(len(args)):
         with pytest.raises(ValueError):
             FUNCTIONS[name](*args[:slot], bad, *args[slot + 1 :])
+
+
+def _respelled(arg, spell):
+    """``arg`` with every number in it, however deeply nested, replaced by ``spell(number)``."""
+    if isinstance(arg, list):
+        return [_respelled(v, spell) for v in arg]
+    if type(arg) in (int, float):
+        return spell(arg)
+    return arg
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [repr, lambda v: repr(v).encode(), lambda v: 10**400, lambda v: -(10**400)],
+    ids=["str", "bytes", "huge-int", "huge-negative-int"],
+)
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_numbers_that_are_no_floats_raise_value_error(name, spell):
+    """A number spelled as a str or bytes, or an int beyond the float range,
+    in place of every number of an argument, is a ValueError; numpy parsed
+    the strs and raised OverflowError on the ints."""
+    args = ARGS[name]
+    for slot, arg in enumerate(args):
+        respelled = _respelled(arg, spell)
+        if respelled == arg:  # no number in it, as in capacity's method name
+            continue
+        with pytest.raises(ValueError):
+            FUNCTIONS[name](*args[:slot], respelled, *args[slot + 1 :])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chancap.log_star(10**400), "log_star contains non-finite entries"),
+        (lambda: chancap.xlogx_star([10**400]), "xlogx_star contains non-finite entries"),
+        (lambda: chancap.feasible_input([10**400, 1]), "opt_input_raw contains non-finite entries"),
+        (lambda: chancap.check_distribution(["0.5", "0.5"]), "distribution must hold real numbers"),
+        (lambda: chancap.entropy([b"0.5", 0.5]), "distribution must hold real numbers"),
+        (lambda: chancap.capacity([["1", "0"], ["0", "1"]]), "transition matrix must hold real numbers"),
+        (lambda: chancap.check_distribution([Fraction(1, 2), "0.5"]), "distribution must hold real numbers"),
+    ],
+    ids=["log_star", "xlogx_star", "feasible_input", "str", "bytes", "str-matrix", "str-among-objects"],
+)
+def test_array_readers_name_the_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
