@@ -30,7 +30,7 @@ def _is_real(x):
 
 def _as_float(x):
     """``float(x)``, but an int too large for a float reads as the infinity of
-    its sign, as ``_as_float_array`` reads it, so a finiteness check rejects it."""
+    its sign, so a finiteness check rejects it, as ``_real_array`` does."""
     try:
         return float(x)
     except OverflowError:
