@@ -239,34 +239,30 @@ _FLAGS = {
 }
 _LONG_NAMES = ("--help", *_FLAGS)
 _DEFAULTS = {flag: row[2] for flag, row in _FLAGS.items()}
-_USAGE_WIDTH = 78
 
 
-def _invocation(flag):
-    metavar, _, _, _, choices = _FLAGS[flag]
-    return f"{flag} {metavar or '{' + ','.join(choices) + '}'}"
+def _parser():
+    """The flag table as an ``argparse`` parser, for its help and usage text only.
+
+    ``_parse_args`` reads the command line; this parser parses nothing.  It
+    is built, and argparse imported, only when that text is printed.  The
+    width is fixed, so the text ignores ``COLUMNS`` and the terminal size.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="capacity",
+        description="Capacity of a discrete memoryless channel from its transition matrix.",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+    )
+    for flag, (metavar, _, _, text, choices) in _FLAGS.items():
+        parser.add_argument(flag, metavar=metavar, help=text, choices=choices)
+    return parser
 
 
 def _usage():
     """The usage line, wrapped between flags."""
-    lines = ["usage: capacity"]
-    for part in ["[-h]"] + [f"[{_invocation(flag)}]" for flag in _FLAGS]:
-        if len(lines[-1]) + 1 + len(part) > _USAGE_WIDTH:
-            lines.append(" " * len("usage: capacity"))
-        lines[-1] += " " + part
-    return "\n".join(lines)
-
-
-def _help():
-    rows = [("-h, --help", "show this help message and exit")]
-    rows += [(_invocation(flag), row[3]) for flag, row in _FLAGS.items()]
-    options = "".join(
-        f"\n  {flag:<22}{text}" if len(flag) <= 20 else f"\n  {flag}\n{'':24}{text}" for flag, text in rows
-    )
-    return (
-        f"{_usage()}\n\nCapacity of a discrete memoryless channel from its transition matrix."
-        f"\n\noptions:{options}"
-    )
+    return _parser().format_usage().rstrip("\n")
 
 
 def _is_value(token):
@@ -345,7 +341,7 @@ def run(argv=None) -> int:
         print(f"{_usage()}\ncapacity: error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
     if opts is None:
-        print(_help())
+        print(_parser().format_help(), end="")
         return EXIT_OK
 
     matrix = opts["--matrix"]

@@ -109,15 +109,16 @@ def _real_array(x, name, copy=None):
     numpy reads ``x`` once, and the kind of what it read decides.  A float64
     array is returned as read; bools, ints and other floats are converted.
     An object array, such as Fractions or ints beyond int64, is read entry
-    by entry with ``float``.  A str or bytes, even among objects, a complex,
-    a date, a dict or an arbitrary object raises ValueError naming ``name``,
-    as does an int beyond the float range, which reads as non-finite.
+    by entry with ``float``.  A str, bytes or None, even among objects, a
+    complex, a date, a dict or an arbitrary object raises ValueError naming
+    ``name``, as does an int beyond the float range, which reads as
+    non-finite.  numpy would read None as NaN.
     """
     arr = np.array(x, copy=copy)
     if arr.dtype is _FLOAT:
         return arr
     kind = arr.dtype.kind
-    if kind not in "biufO" or kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat):
+    if kind not in "biufO" or kind == "O" and any(isinstance(v, (str, bytes, type(None))) for v in arr.flat):
         raise ValueError(f"{name} must hold real numbers, got {reprlib.repr(x)}")
     try:
         return arr.astype(float)

@@ -104,8 +104,9 @@ def blahut_arimoto(q, cfg: LogConfig = None, oracle: OracleConfig = None) -> BAR
     on exactly as without the try.  Every one of 1998 random binary
     channels (|c - a| > 1e-3) settles at sweep 1 this way, where the polish
     settled them at sweep 4.  A larger square has no explicit try: Muroga's
-    formula costs two linear solves, and under ``auto`` ``chancap.dispatch``
-    evaluates it first and falls back here only when its answer is rejected.
+    formula costs an inverse, for the singularity rule, plus two linear
+    solves, and under ``auto`` ``chancap.dispatch`` evaluates it first and
+    falls back here only when its answer is rejected.
 
     Support bound.  The optimal output r* is unique, so the optimal inputs
     form a polytope, and each of its vertices has support at most

@@ -224,8 +224,15 @@ def test_numbers_that_are_no_floats_raise_value_error(name, spell):
         (lambda: chancap.entropy([b"0.5", 0.5]), "distribution must hold real numbers"),
         (lambda: chancap.capacity([["1", "0"], ["0", "1"]]), "transition matrix must hold real numbers"),
         (lambda: chancap.check_distribution([Fraction(1, 2), "0.5"]), "distribution must hold real numbers"),
+        # numpy reads None as NaN, which named no type.
+        (lambda: chancap.check_distribution([None, 1]), "distribution must hold real numbers"),
+        (lambda: chancap.capacity([[None, 1], [0, 1]]), "transition matrix must hold real numbers"),
+        (lambda: chancap.log_star(None), "log_star must hold real numbers"),
     ],
-    ids=["log_star", "xlogx_star", "feasible_input", "str", "bytes", "str-matrix", "str-among-objects"],
+    ids=[
+        "log_star", "xlogx_star", "feasible_input", "str", "bytes", "str-matrix", "str-among-objects",
+        "none", "none-matrix", "none-log_star",
+    ],
 )
 def test_array_readers_name_the_argument(call, message):
     with pytest.raises(ValueError, match=message):

@@ -10,7 +10,9 @@ identity holds to a small multiple of it.
 
 The reproducers are strict xfails: they fail today, and the change that
 mends a defect must delete the marker, since a silent fix then fails the
-suite.  Both name ROADMAP item 2, a certificate that survives rounding.
+suite.  Each names its ROADMAP item: 2, a certificate that survives
+rounding; 3, exact channel reduction; 4, near-duplicate rows that the
+optimum needs both of.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ import pytest
 from chancap import (
     OracleConfig,
     binary_channel,
+    blahut_arimoto,
     capacity,
     capacity_bounds,
     relabel_inputs,
@@ -107,3 +110,64 @@ def test_tolerance_below_rounding_is_not_reported_as_met(tmp_path):
         with contextlib.redirect_stdout(out):
             code = run(["--matrix", str(path), "--method", "blahut-arimoto", "--tol", "1e-300"])
         assert not (code == 0 and json.loads(out.getvalue())["diagnostics"]["gap"] <= 0.0), k
+
+
+#: The sweep cap of the stall reproducers.  The channels that stop at it
+#: are the ones that stop at 2000 sweeps; at 5000, 43 of item 3's 46 and
+#: all 11 of item 4's still stop.
+STALL_SWEEPS = 1500
+
+#: Item 3's (n, m, s) that stop at STALL_SWEEPS, of its 300.
+ITEM3_STALLS = [
+    *((4, 5, s) for s in (6, 31, 32, 34, 41, 42, 45, 49, 87, 90, 99, 100, 115, 131, 133, 137, 138, 141)),
+    *((5, 6, s) for s in (6, 26, 30, 38, 44, 48, 49, 52, 56, 58, 67, 78, 81, 82, 88, 94, 99, 103, 104, 106,
+                          108, 114, 115, 118, 124, 130, 134, 136)),
+]
+
+#: Item 4's k that stop at STALL_SWEEPS, of its 3000.
+ITEM4_STALLS = [590, 742, 891, 918, 1608, 2216, 2240, 2324, 2727, 2872, 2950]
+
+
+def _settles(q):
+    return blahut_arimoto(q, oracle=OracleConfig(max_iterations=STALL_SWEEPS)).converged
+
+
+@pytest.fixture(scope="module")
+def item4_channels():
+    """Item 4's fuzz channels by k, of those in ITEM4_STALLS.  Each draw
+    depends on every draw before it, so the loop replays them all in order."""
+    rng = np.random.default_rng(2026)
+    channels = {}
+    for k in range(max(ITEM4_STALLS) + 1):
+        n, m = rng.integers(2, 9, size=2)
+        q = rng.dirichlet(np.full(m, rng.choice([0.2, 1.0, 5.0])), size=n)
+        q[rng.random((n, m)) < 0.15] = 0.0
+        q[q.sum(1) == 0, 0] = 1.0
+        q /= q.sum(1, keepdims=True)
+        for _ in range(rng.integers(0, 3)):
+            i, j = rng.integers(0, n, size=2)
+            e = rng.choice([0.0, 0.0, 1e-12, 1e-8, 1e-5])
+            q[i] = (1 - e) * q[j] + e * q[i]
+        if k in ITEM4_STALLS:
+            channels[k] = q
+    return channels
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: an exact and a near duplicate row stall the polish")
+@pytest.mark.parametrize("n, m, s", ITEM3_STALLS)
+def test_duplicate_rows_settle(n, m, s):
+    """Row 1 equals row 0 and row 2 lies 1e-8 from it.  The exact duplicate
+    makes the Newton Jacobian singular, and the polish stalls."""
+    rng = np.random.default_rng([n, m, s])
+    q = rng.dirichlet(np.ones(m), size=n)
+    q[1] = q[0]
+    q[2] = (1 - 1e-8) * q[0] + 1e-8 * q[2]
+    assert _settles(q)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the optimum needs both of two near-duplicate rows")
+@pytest.mark.parametrize("k", ITEM4_STALLS)
+def test_near_duplicate_rows_settle(item4_channels, k):
+    """Two rows that differ by little, both of which carry optimal mass:
+    the polish keeps dropping one of them, and Blahut-Arimoto crawls."""
+    assert _settles(item4_channels[k])
